@@ -19,6 +19,8 @@ from .fusion import assemble_dahyf, pe_normalize, pool_feature_map, positional_e
 from .geometry import (
     DirectionMap,
     PatchSpec,
+    RowError,
+    SpecColumns,
     default_focal,
     feat_to_patch,
     flip_left_patch,
@@ -35,6 +37,7 @@ from .hand_model import (
     canonicalize_axis_angle,
     forward_kinematics,
     load_model,
+    posed_joints,
     rodrigues,
     save_model,
     shaped_rest_joints,

@@ -5,6 +5,9 @@ crop-relative 42-vector (21 joints, x/y interleaved in canonical joint
 order); their cosine similarity is the motion-capture confidence of the
 frame.  Patches containing a hand form positive pairs, random non-hand
 patches negative pairs.
+
+Normalization and cosine also run over a clip at once: (T, 21, 2) stacks
+with a `SpecColumns` give (T, 42) vectors and T confidences.
 """
 
 from __future__ import annotations
@@ -14,48 +17,62 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import PatchSpec
+from .geometry import PatchSpec, RowError, SpecColumns, per_point
 
 DEGENERATE_NORM = 1e-12
 DEFAULT_OVERLAP_THRESHOLD = 0.05
 
 
-class DegenerateJointsError(ValueError):
+class DegenerateJointsError(RowError):
     """All joints coincide with the patch center; cosine similarity is
     undefined.  Unreachable for real hands, so it flags upstream failure."""
 
 
-def _flatten(joints: np.ndarray) -> np.ndarray:
+def _joints(joints: np.ndarray) -> np.ndarray:
     pts = np.asarray(joints, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"expected (K, 2) joints, got {pts.shape}")
-    return pts.reshape(-1)
+    if pts.ndim not in (2, 3) or pts.shape[-1] != 2:
+        raise ValueError(f"expected (K, 2) or (T, K, 2) joints, got {pts.shape}")
+    return pts
 
 
-def normalize_pred(j2d: np.ndarray, spec: PatchSpec) -> np.ndarray:
-    """Normalize detected patch-pixel joints: (J * s_i/s_p - s_i/2) / s_i."""
-    pts = np.asarray(j2d, dtype=np.float64)
-    scaled = pts * (spec.patch_size / spec.net_size) - spec.patch_size / 2.0
-    return _flatten(scaled / spec.patch_size)
+def _flatten(pts: np.ndarray) -> np.ndarray:
+    """(..., K, 2) joints to (..., 2K) vectors, x/y interleaved."""
+    return pts.reshape(pts.shape[:-2] + (-1,))
 
 
-def normalize_proj(j2d_proj: np.ndarray, spec: PatchSpec) -> np.ndarray:
+def normalize_pred(j2d: np.ndarray, spec: PatchSpec | SpecColumns) -> np.ndarray:
+    """Normalize detected patch-pixel joints: (J * s_i/s_p - s_i/2) / s_i.
+
+    Non-finite joints are an error naming their row.
+    """
+    pts = _joints(j2d)
+    RowError.check(~np.isfinite(pts).all(axis=(-2, -1)), "joints2d contains non-finite values")
+    size = per_point(spec.patch_size)
+    scaled = pts * per_point(spec.patch_size / spec.net_size) - size / 2.0
+    return _flatten(scaled / size)
+
+
+def normalize_proj(j2d_proj: np.ndarray, spec: PatchSpec | SpecColumns) -> np.ndarray:
     """Normalize reprojected frame-pixel joints: (J - C) / s_i, with C the
     patch center in frame coordinates."""
-    pts = np.asarray(j2d_proj, dtype=np.float64)
-    return _flatten((pts - np.asarray(spec.center)) / spec.patch_size)
+    pts = _joints(j2d_proj)
+    return _flatten((pts - per_point(spec.center)) / per_point(spec.patch_size))
 
 
-def cosine_confidence(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1] between two normalized joint vectors."""
-    va = np.asarray(a, dtype=np.float64).reshape(-1)
-    vb = np.asarray(b, dtype=np.float64).reshape(-1)
+def cosine_confidence(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Cosine similarity in [-1, 1] between two normalized joint vectors;
+    (T, D) stacks give one per row, as a (T,) array."""
+    va = np.asarray(a, dtype=np.float64)
+    vb = np.asarray(b, dtype=np.float64)
+    if va.ndim != 2:
+        va, vb = va.reshape(-1), vb.reshape(-1)
     if va.shape != vb.shape:
         raise ValueError("joint vectors must have matching length")
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na < DEGENERATE_NORM or nb < DEGENERATE_NORM:
-        raise DegenerateJointsError("joint vector norm below 1e-12; all joints centered")
-    return float(np.clip(va @ vb / (na * nb), -1.0, 1.0))
+    na, nb = np.linalg.norm(va, axis=-1), np.linalg.norm(vb, axis=-1)
+    DegenerateJointsError.check((na < DEGENERATE_NORM) | (nb < DEGENERATE_NORM),
+                                "joint vector norm below 1e-12; all joints centered")
+    cos = np.clip(np.einsum("...d,...d->...", va, vb) / (na * nb), -1.0, 1.0)
+    return float(cos) if cos.ndim == 0 else cos
 
 
 def cosine_confidence_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,15 +11,37 @@ Three frames are used throughout:
 The direction of a frame pixel is its centered coordinate divided by the
 focal length, i.e. the viewing-ray direction in the camera frame.  All maps
 are pure affine geometry; crops may extend past the frame edges.
+
+`frame_to_patch_abs` and the camera and confidence maps also run over a
+whole clip: given a `SpecColumns` (T specs as columns) in place of a
+`PatchSpec`, they take (T, K, 2) point stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 SPEC_FORMAT_VERSION = 1
+
+
+class RowError(ValueError):
+    """A check failed on one row of a (T, …) stack.  `row` indexes it, so a
+    caller can name the frame; a single-frame call reports row 0."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
+
+    @classmethod
+    def check(cls, bad, message: str) -> None:
+        """Raise for the first row whose flag in `bad` (a bool, or one per
+        row of a stack) is set."""
+        bad = np.reshape(bad, -1)
+        if bad.any():
+            raise cls(message, int(np.argmax(bad)))
 
 
 @dataclass(frozen=True)
@@ -96,6 +118,50 @@ class PatchSpec:
 
 
 @dataclass(frozen=True)
+class SpecColumns:
+    """T patch specs as columns, under PatchSpec's names: every scalar is a
+    (T,) array and every (x, y) pair a tuple of two (T,) arrays.  The spec
+    consumers accept it in place of a PatchSpec and then map (T, …) stacks,
+    row t with spec t."""
+
+    frame_w: np.ndarray
+    frame_h: np.ndarray
+    upper_left: tuple[np.ndarray, np.ndarray]
+    patch_size: np.ndarray
+    net_size: np.ndarray
+    focal_or_default: np.ndarray
+
+    @classmethod
+    def stack(cls, specs: Sequence[PatchSpec]) -> "SpecColumns":
+        if len(specs) == 0:
+            raise ValueError("need at least one spec to stack")
+        w, h, ulx, uly, size, net, focal = np.array(
+            [(s.frame_w, s.frame_h, *s.upper_left, s.patch_size, s.net_size, s.focal_or_default) for s in specs],
+            dtype=np.float64,
+        ).T
+        return cls(w, h, (ulx, uly), size, net, focal)
+
+    @property
+    def center(self) -> tuple[np.ndarray, np.ndarray]:
+        """Patch centers in absolute frame pixels."""
+        half = self.patch_size / 2.0
+        return (self.upper_left[0] + half, self.upper_left[1] + half)
+
+
+def per_point(value):
+    """Shape one spec field to broadcast against the points it maps.
+
+    A PatchSpec float or (x, y) tuple applies to (K, 2) points as it is; a
+    SpecColumns (T,) column, or tuple of two, becomes (T, 1, 1) or (T, 1, 2)
+    so that row t of a (T, K, 2) stack meets spec t.
+    """
+    if isinstance(value, tuple):
+        pair = np.stack(value, axis=-1)
+        return pair[:, None, :] if pair.ndim == 2 else pair
+    return value[:, None, None] if np.ndim(value) else value
+
+
+@dataclass(frozen=True)
 class DirectionMap:
     """Dense per-pixel direction planes, shape (channels, height, width).
 
@@ -153,10 +219,11 @@ def patch_to_frame_abs(p_l: np.ndarray, spec: PatchSpec) -> np.ndarray:
     return np.asarray(p_l, dtype=np.float64) * sc_o + np.asarray(spec.upper_left)
 
 
-def frame_to_patch_abs(p_g: np.ndarray, spec: PatchSpec) -> np.ndarray:
-    """Absolute frame pixels to patch pixels (inverse of `patch_to_frame_abs`)."""
-    sc_o = spec.patch_size / spec.net_size
-    return (np.asarray(p_g, dtype=np.float64) - np.asarray(spec.upper_left)) / sc_o
+def frame_to_patch_abs(p_g: np.ndarray, spec: PatchSpec | SpecColumns) -> np.ndarray:
+    """Absolute frame pixels to patch pixels (inverse of `patch_to_frame_abs`);
+    (T, K, 2) stacks with a SpecColumns."""
+    sc_o = per_point(spec.patch_size / spec.net_size)
+    return (np.asarray(p_g, dtype=np.float64) - per_point(spec.upper_left)) / sc_o
 
 
 def frame_to_direction(p_g: np.ndarray, focal: float) -> np.ndarray:

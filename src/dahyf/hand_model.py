@@ -7,13 +7,15 @@ the fifteen non-tip finger joints carry one axis-angle rotation each (16
 total); the five fingertips are leaf sites that rigidly follow their parents.
 
 All positions are in meters.  Joint sets are plain float64 arrays of shape
-(21, 3) in the ordering above.
+(21, 3) in the ordering above; `posed_joints` poses a clip of T frames at
+once into a (T, 21, 3) stack.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -167,46 +169,31 @@ class HandModelParams:
         """Keypoint indices carrying the 16 rotations, in keypoint order."""
         return np.flatnonzero(self.articulated)
 
+    @cached_property
+    def levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(children, their parents) index arrays for each tree depth below
+        the wrist: MCP, PIP, DIP, TIP for the hand.  Parents precede their
+        children, so one pass in index order gives every depth."""
+        depth = np.zeros(N_KEYPOINTS, dtype=np.int64)
+        for j in range(1, N_KEYPOINTS):
+            depth[j] = depth[self.parent[j]] + 1
+        children = [np.flatnonzero(depth == d) for d in range(1, int(depth.max()) + 1)]
+        return tuple((c, self.parent[c]) for c in children)
+
 
 def _check_tree(parent: np.ndarray) -> None:
-    """Validate that `parent` encodes a single-rooted acyclic tree with root 0."""
-    n = parent.shape[0]
+    """Validate that `parent` encodes a single-rooted tree with root 0 in
+    which every parent precedes its children, so no cycle can occur."""
     roots = np.flatnonzero(parent < 0)
     if roots.size != 1 or roots[0] != 0:
         raise ModelFormatError("kinematic tree must have exactly one root at index 0")
-    for j in range(n):
-        if parent[j] >= n:
-            raise ModelFormatError(f"parent index {parent[j]} out of range")
-        seen = set()
-        k = j
-        while parent[k] >= 0:
-            if k in seen:
-                raise ModelFormatError("kinematic tree has cycle")
-            seen.add(k)
-            k = int(parent[k])
-
-
-def topological_order(parent: np.ndarray) -> list[int]:
-    """Keypoint indices ordered so every parent precedes its children."""
-    parent = np.asarray(parent, dtype=np.int64)
-    order: list[int] = []
-    placed = np.zeros(parent.shape[0], dtype=bool)
-    remaining = list(range(parent.shape[0]))
-    while remaining:
-        progressed = False
-        rest = []
-        for j in remaining:
-            p = parent[j]
-            if p < 0 or placed[p]:
-                order.append(j)
-                placed[j] = True
-                progressed = True
-            else:
-                rest.append(j)
-        if not progressed:
-            raise ModelFormatError("kinematic tree has cycle")
-        remaining = rest
-    return order
+    late = np.flatnonzero(parent >= np.arange(parent.shape[0]))
+    if late.size:
+        j = int(late[0])
+        raise ModelFormatError(
+            f"keypoint {j} has parent {parent[j]}, which does not precede it; "
+            "parents must come first, which also rules out a cycle"
+        )
 
 
 def rodrigues(axis_angle: np.ndarray) -> np.ndarray:
@@ -288,9 +275,13 @@ def canonicalize_axis_angle(axis_angle: np.ndarray) -> np.ndarray:
     return aa * scale
 
 
-def shaped_rest_joints(model: HandModelParams, shape: HandShape) -> np.ndarray:
-    """Rest skeleton displaced by the linear shape basis: rest + sum_k beta_k basis_k."""
-    return model.rest_joints + np.einsum("k,kjc->jc", shape.betas, model.shape_basis)
+def shaped_rest_joints(model: HandModelParams, shape: HandShape | np.ndarray) -> np.ndarray:
+    """Rest skeleton displaced by the linear shape basis: rest + sum_k beta_k basis_k.
+
+    `shape` is a HandShape, or a (T, 10) betas array for a (T, 21, 3) stack.
+    """
+    betas = shape.betas if isinstance(shape, HandShape) else np.asarray(shape, dtype=np.float64)
+    return model.rest_joints + np.einsum("...k,kjc->...jc", betas, model.shape_basis)
 
 
 def forward_kinematics(model: HandModelParams, shape: HandShape, pose: HandPose) -> np.ndarray:
@@ -301,26 +292,41 @@ def forward_kinematics(model: HandModelParams, shape: HandShape, pose: HandPose)
     world transform.  The wrist stays at its shaped rest position; global
     placement is the camera's job.
     """
-    positions, _ = _forward_transforms(model, shape, pose)
-    return positions
+    return posed_joints(model, shape.betas[None], pose.rotations[None])[0]
 
 
-def _forward_transforms(model, shape, pose):
-    """FK core: world positions (21, 3) and world rotations (21, 3, 3)."""
-    rest = shaped_rest_joints(model, shape)
-    local_rot = np.broadcast_to(np.eye(3), (N_KEYPOINTS, 3, 3)).copy()
-    local_rot[model.articulated_indices] = rodrigues(pose.rotations)
+def posed_joints(model: HandModelParams, betas: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """`forward_kinematics` over a clip: betas (T, 10) and rotations
+    (T, 16, 3) give the (T, 21, 3) keypoint stack."""
+    return _forward_transforms(model, betas, rotations)[0]
 
-    positions = np.zeros((N_KEYPOINTS, 3))
-    world_rot = np.zeros((N_KEYPOINTS, 3, 3))
-    for j in topological_order(model.parent):
-        p = int(model.parent[j])
-        if p < 0:
-            world_rot[j] = local_rot[j]
-            positions[j] = rest[j]
-        else:
-            world_rot[j] = world_rot[p] @ local_rot[j]
-            positions[j] = world_rot[p] @ (rest[j] - rest[p]) + positions[p]
+
+def _forward_transforms(model, betas, rotations):
+    """FK core over T frames: world positions (T, 21, 3) and world rotations
+    (T, 21, 3, 3).
+
+    One batched step per tree depth composes every joint of that depth with
+    its parent's world transform, as in MANO's batched rigid transforms.
+    """
+    betas = np.asarray(betas, dtype=np.float64)
+    rotations = np.asarray(rotations, dtype=np.float64)
+    if betas.ndim != 2 or betas.shape[1] != N_SHAPE_COEFFS:
+        raise ValueError(f"betas must be (T, {N_SHAPE_COEFFS}), got {betas.shape}")
+    if rotations.shape != (betas.shape[0], N_ROTATIONS, 3):
+        raise ValueError(f"rotations must be ({betas.shape[0]}, {N_ROTATIONS}, 3), got {rotations.shape}")
+    rest = shaped_rest_joints(model, betas)
+    local_rot = np.broadcast_to(np.eye(3), rest.shape + (3,)).copy()
+    local_rot[:, model.articulated_indices] = rodrigues(rotations)
+
+    positions = np.empty_like(rest)
+    world_rot = np.empty_like(local_rot)
+    positions[:, 0] = rest[:, 0]
+    world_rot[:, 0] = local_rot[:, 0]
+    for children, parents in model.levels:
+        parent_rot = world_rot[:, parents]
+        world_rot[:, children] = parent_rot @ local_rot[:, children]
+        bones = rest[:, children] - rest[:, parents]
+        positions[:, children] = (parent_rot @ bones[..., None])[..., 0] + positions[:, parents]
     return positions, world_rot
 
 
@@ -334,7 +340,7 @@ def skin_vertices(model: HandModelParams, shape: HandShape, pose: HandPose) -> n
         raise ValueError("model lacks skinning block")
     skin = model.skinning
     rest = shaped_rest_joints(model, shape)
-    positions, world_rot = _forward_transforms(model, shape, pose)
+    positions, world_rot = (a[0] for a in _forward_transforms(model, shape.betas[None], pose.rotations[None]))
 
     verts = skin.vertices + np.einsum("k,kvc->vc", shape.betas, skin.vertex_shape_basis)
     idx = model.articulated_indices

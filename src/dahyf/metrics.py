@@ -3,6 +3,9 @@ PA-MPVPE, 2D endpoint error, F-score at distance thresholds, and PCK curves.
 
 Points are in meters; every reported distance is converted to millimeters
 (2D errors stay in pixels).
+
+Procrustes, MPJPE / PA-MPJPE and EPE also run over a clip at once: (T, N, …)
+stacks give one result per row.
 """
 
 from __future__ import annotations
@@ -12,17 +15,19 @@ from typing import Sequence
 
 import numpy as np
 
+from .geometry import RowError
+
 MM_PER_M = 1000.0
 
 
 @dataclass(frozen=True)
 class AlignmentResult:
     """Similarity transform p -> scale * rotation @ p + translation and the
-    transformed points."""
+    transformed points; for a stack, one transform per row."""
 
-    rotation: np.ndarray     # (3, 3), det +1
-    scale: float
-    translation: np.ndarray  # (3,)
+    rotation: np.ndarray     # (3, 3) or (T, 3, 3), det +1
+    scale: float             # or (T,)
+    translation: np.ndarray  # (3,) or (T, 3)
     aligned_points: np.ndarray
 
 
@@ -32,63 +37,73 @@ def procrustes_align(pred: np.ndarray, gt: np.ndarray) -> AlignmentResult:
     Solves min over (s, R, t) of sum ||s R p_i + t - g_i||^2 via the SVD of
     the centered cross-covariance, forcing det(R) = +1 by flipping the
     smallest singular direction when needed: a mirrored hand must not align.
+    (T, N, 3) stacks are aligned row by row, with one SVD of the (T, 3, 3)
+    covariance stack (Umeyama 1991).
     """
     p = np.asarray(pred, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
-    if p.shape != g.shape or p.ndim != 2 or p.shape[1] != 3:
-        raise ValueError("point sets must share shape (N, 3)")
-    if p.shape[0] < 3:
+    if p.shape != g.shape or p.ndim not in (2, 3) or p.shape[-1] != 3:
+        raise ValueError("point sets must share shape (N, 3) or (T, N, 3)")
+    if p.shape[-2] < 3:
         raise ValueError("alignment needs at least 3 points")
+    single = p.ndim == 2
+    if single:
+        p, g = p[None], g[None]
 
-    mu_p = p.mean(axis=0)
-    mu_g = g.mean(axis=0)
-    pc = p - mu_p
-    gc = g - mu_g
-    var_p = (pc**2).sum() / p.shape[0]
-    if var_p < 1e-18:
-        raise ValueError("degenerate point set: zero spread")
+    n = p.shape[1]
+    mu_p = p.mean(axis=1)
+    mu_g = g.mean(axis=1)
+    pc = p - mu_p[:, None]
+    gc = g - mu_g[:, None]
+    var_p = (pc**2).sum(axis=(1, 2)) / n
+    RowError.check(var_p < 1e-18, "degenerate point set: zero spread")
 
-    cov = pc.T @ gc / p.shape[0]
+    cov = pc.transpose(0, 2, 1) @ gc / n
     u, s, vt = np.linalg.svd(cov)
-    if np.count_nonzero(s > 1e-12 * max(s[0], 1e-300)) < 2:
-        raise ValueError("degenerate point set: rank < 2")
-    sign = np.ones(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0:
-        sign[-1] = -1.0
-    rotation = (u * sign) @ vt
-    rotation = rotation.T  # maps pred frame into gt frame
-    scale = float((s * sign).sum() / var_p)
-    translation = mu_g - scale * rotation @ mu_p
-    aligned = scale * p @ rotation.T + translation
+    RowError.check(np.count_nonzero(s > 1e-12 * np.maximum(s[:, :1], 1e-300), axis=1) < 2,
+                   "degenerate point set: rank < 2")
+    sign = np.ones_like(s)
+    sign[:, -1] = np.where(np.linalg.det(u) * np.linalg.det(vt) < 0, -1.0, 1.0)
+    rotation = ((u * sign[:, None, :]) @ vt).transpose(0, 2, 1)  # maps pred frame into gt frame
+    scale = (s * sign).sum(axis=1) / var_p
+    translation = mu_g - ((scale[:, None, None] * rotation) @ mu_p[:, :, None])[:, :, 0]
+    aligned = (scale[:, None, None] * p) @ rotation.transpose(0, 2, 1) + translation[:, None, :]
+    if single:
+        return AlignmentResult(rotation[0], float(scale[0]), translation[0], aligned[0])
     return AlignmentResult(rotation=rotation, scale=scale, translation=translation, aligned_points=aligned)
 
 
+def _mean_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Mean point distance per set: a float for one set, (T,) for a stack."""
+    d = np.linalg.norm(a - b, axis=-1).mean(axis=-1)
+    return float(d) if d.ndim == 0 else d
+
+
 def joint_errors(pred: np.ndarray, gt: np.ndarray) -> dict:
-    """Mean per-joint position error in mm, raw and Procrustes-aligned."""
+    """Mean per-joint position error in mm, raw and Procrustes-aligned;
+    (T, J, 3) stacks give (T,) arrays."""
     p = np.asarray(pred, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
     if p.shape != g.shape:
         raise ValueError("joint sets must share shape")
-    mpjpe = float(np.linalg.norm(p - g, axis=-1).mean()) * MM_PER_M
-    aligned = procrustes_align(p, g).aligned_points
-    pa_mpjpe = float(np.linalg.norm(aligned - g, axis=-1).mean()) * MM_PER_M
+    mpjpe = _mean_distance(p, g) * MM_PER_M
+    pa_mpjpe = _mean_distance(procrustes_align(p, g).aligned_points, g) * MM_PER_M
     return {"mpjpe": mpjpe, "pa_mpjpe": pa_mpjpe}
 
 
 def vertex_errors(pred: np.ndarray, gt: np.ndarray) -> dict:
     """Mean per-vertex error in mm after Procrustes alignment (PA-MPVPE)."""
     aligned = procrustes_align(pred, gt).aligned_points
-    g = np.asarray(gt, dtype=np.float64)
-    return {"pa_mpvpe": float(np.linalg.norm(aligned - g, axis=-1).mean()) * MM_PER_M}
+    return {"pa_mpvpe": _mean_distance(aligned, np.asarray(gt, dtype=np.float64)) * MM_PER_M}
 
 
-def epe_2d(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Average 2D endpoint error in pixels."""
+def epe_2d(pred: np.ndarray, gt: np.ndarray) -> float | np.ndarray:
+    """Average 2D endpoint error in pixels; (T, K, 2) stacks give (T,)."""
     p = np.asarray(pred, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
     if p.shape != g.shape:
         raise ValueError("keypoint sets must share shape")
-    return float(np.linalg.norm(p - g, axis=-1).mean())
+    return _mean_distance(p, g)
 
 
 def f_score(

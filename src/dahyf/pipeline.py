@@ -1,14 +1,18 @@
 """Pipeline composition: per-frame decode -> FK -> projection -> confidence,
 then sequence-level gating and smoothing, with metrics against ground truth.
 
-The per-frame stages are pure and frame-parallelizable; gating and smoothing
-are sequential per sequence.  Output ordering always matches input ordering.
+The per-frame stages are pure, so each runs once over the whole clip, on
+(T, …) stacks of the frames' parameters; gating and smoothing are
+sequential per sequence.  `FrameResult` records appear only where frames
+are read, filtered and written.  Output ordering always matches input
+ordering.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -20,8 +24,8 @@ from .camera import project_points, weak_to_full
 from .codec import CodecConfig, decode_soft_argmax
 from .confidence import cosine_confidence, normalize_pred, normalize_proj
 from .data import read_jsonl, write_jsonl
-from .geometry import frame_to_patch_abs
-from .hand_model import HandModelParams, forward_kinematics, load_model
+from .geometry import RowError, SpecColumns, frame_to_patch_abs
+from .hand_model import HandModelParams, load_model, posed_joints
 from .metrics import epe_2d, joint_errors, pck_curve
 from .tempfilter import FilterConfig, FrameResult, SmoothingConfig, gate_sequence, smooth_sequence
 
@@ -137,11 +141,36 @@ def _apply_focal_policy(frame: FrameResult, config: PipelineConfig) -> FrameResu
     return frame
 
 
-def _reprojected_patch_joints(frame: FrameResult, model: HandModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """FK joints (21, 3) and their patch-space projections (21, 2)."""
-    joints3d = forward_kinematics(model, frame.shape, frame.pose)
-    frame_uv = project_points(joints3d, weak_to_full(frame.weak, frame.spec))
-    return joints3d, frame_to_patch_abs(frame_uv, frame.spec)
+def _read_frame(doc: dict, position: int, config: PipelineConfig, in_path: Path) -> FrameResult:
+    """Parse one input record, apply the focal policy and decode its logits."""
+    try:
+        frame = _apply_focal_policy(FrameResult.from_dict(doc), config)
+        if doc.get("logits_file"):
+            logits = read_coord_array(in_path.parent / doc["logits_file"])
+            frame = replace(frame, joints2d=decode_soft_argmax(logits, config.codec))
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise RuntimeError(f"frame {doc.get('frame_index', position)}: {detail}") from exc
+    return frame
+
+
+@contextmanager
+def _naming_frames(frames: list[FrameResult]):
+    """Re-raise a failed row check on a stack of `frames` naming the frame."""
+    try:
+        yield
+    except RowError as exc:
+        raise RuntimeError(f"frame {frames[exc.row].frame_index}: {exc}") from exc
+
+
+def _reproject(model: HandModelParams, frames: list[FrameResult], specs: SpecColumns):
+    """FK joints (T, 21, 3) of the frames and their frame-pixel projections (T, 21, 2)."""
+    betas = np.stack([f.shape.betas for f in frames])
+    rotations = np.stack([f.pose.rotations for f in frames])
+    weak = np.array([(f.weak.scale, f.weak.tx, f.weak.ty) for f in frames])
+    joints3d = posed_joints(model, betas, rotations)
+    with _naming_frames(frames):
+        return joints3d, project_points(joints3d, weak_to_full(weak, specs))
 
 
 def run_pipeline(
@@ -161,45 +190,33 @@ def run_pipeline(
     if not raw_docs:
         raise ValueError(f"no frames in {in_path}")
 
-    frames: list[FrameResult] = []
-    pre_filter: list[tuple[np.ndarray, np.ndarray]] = []  # (joints3d, reproj patch 2d) per raw frame
-    for doc in raw_docs:
-        frame = FrameResult.from_dict(doc)
-        try:
-            frame = _apply_focal_policy(frame, config)
-            if doc.get("logits_file"):
-                logits = read_coord_array(Path(in_path).parent / doc["logits_file"])
-                frame = replace(frame, joints2d=decode_soft_argmax(logits, config.codec))
-            joints3d, reproj = _reprojected_patch_joints(frame, model)
-            conf = cosine_confidence(
-                normalize_pred(frame.joints2d, frame.spec),
-                normalize_proj(project_points(joints3d, weak_to_full(frame.weak, frame.spec)), frame.spec),
-            )
-        except (ValueError, OSError) as exc:
-            raise RuntimeError(f"frame {frame.frame_index}: {exc}") from exc
-        frames.append(replace(frame, confidence=conf))
-        pre_filter.append((joints3d, reproj))
+    frames = [_read_frame(doc, i, config, Path(in_path)) for i, doc in enumerate(raw_docs)]
+    specs = SpecColumns.stack([f.spec for f in frames])
+    _, pre_uv = _reproject(model, frames, specs)
+    with _naming_frames(frames):
+        confidences = cosine_confidence(
+            normalize_pred(np.stack([f.joints2d for f in frames]), specs), normalize_proj(pre_uv, specs)
+        )
+    frames = [replace(f, confidence=float(c)) for f, c in zip(frames, confidences)]
 
     gated = gate_sequence(frames, config.filter)
     smoothed = smooth_sequence(gated, config.filter)
+    post_joints3d, post_uv = _reproject(model, smoothed, specs)
 
     out_docs = []
-    post_filter = []
-    for frame in smoothed:
-        joints3d, reproj = _reprojected_patch_joints(frame, model)
-        post_filter.append((joints3d, reproj))
+    for frame, joints3d in zip(smoothed, post_joints3d):
         doc = frame.to_dict()
         doc["joints3d"] = joints3d.tolist()
         out_docs.append(doc)
     write_jsonl(out_docs, out_path)
 
-    report = _build_report(config, frames, smoothed, pre_filter, post_filter, gt_path)
+    report = _build_report(config, frames, smoothed, specs, pre_uv, post_joints3d, post_uv, gt_path)
     if report_path is not None:
         Path(report_path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return report
 
 
-def _build_report(config, raw_frames, out_frames, pre_filter, post_filter, gt_path) -> dict:
+def _build_report(config, raw_frames, out_frames, specs, pre_uv, post_joints3d, post_uv, gt_path) -> dict:
     confidences = [f.confidence for f in raw_frames]
     report = {
         "format_version": REPORT_FORMAT_VERSION,
@@ -216,32 +233,24 @@ def _build_report(config, raw_frames, out_frames, pre_filter, post_filter, gt_pa
         return report
 
     gt_by_index = {doc["frame_index"]: doc for doc in read_jsonl(gt_path)}
-    mpjpe, pa_mpjpe = [], []
-    epe_obs, epe_pre, epe_post = [], [], []
-    pred3d, gt3d = [], []
-    for raw, out, (_, reproj_pre), (joints3d_post, reproj_post) in zip(
-        raw_frames, out_frames, pre_filter, post_filter
-    ):
-        gt_doc = gt_by_index.get(raw.frame_index)
-        if gt_doc is None:
-            continue
-        gt_joints3d = np.asarray(gt_doc["joints3d"], dtype=np.float64)
-        gt_joints2d = np.asarray(gt_doc["joints2d"], dtype=np.float64)
-        errs = joint_errors(joints3d_post, gt_joints3d)
-        mpjpe.append(errs["mpjpe"])
-        pa_mpjpe.append(errs["pa_mpjpe"])
-        epe_obs.append(epe_2d(raw.joints2d, gt_joints2d))
-        epe_pre.append(epe_2d(reproj_pre, gt_joints2d))
-        epe_post.append(epe_2d(reproj_post, gt_joints2d))
-        pred3d.append(joints3d_post)
-        gt3d.append(gt_joints3d)
-    if pred3d:
-        report["metrics"] = {
-            "mpjpe_mm": float(np.mean(mpjpe)),
-            "pa_mpjpe_mm": float(np.mean(pa_mpjpe)),
-            "epe_observed_px": float(np.mean(epe_obs)),
-            "epe_reproj_pre_px": float(np.mean(epe_pre)),
-            "epe_reproj_post_px": float(np.mean(epe_post)),
-            "pck": pck_curve(pred3d, gt3d, np.array(PCK_THRESHOLDS_MM)),
-        }
+    rows = [t for t, f in enumerate(raw_frames) if f.frame_index in gt_by_index]
+    if not rows:
+        return report
+    gt_docs = [gt_by_index[raw_frames[t].frame_index] for t in rows]
+    gt3d = np.array([doc["joints3d"] for doc in gt_docs], dtype=np.float64)
+    gt2d = np.array([doc["joints2d"] for doc in gt_docs], dtype=np.float64)
+    pred3d = post_joints3d[rows]
+    with _naming_frames([raw_frames[t] for t in rows]):
+        errs = joint_errors(pred3d, gt3d)
+    observed = np.stack([raw_frames[t].joints2d for t in rows])
+    reproj_pre = frame_to_patch_abs(pre_uv, specs)[rows]
+    reproj_post = frame_to_patch_abs(post_uv, specs)[rows]
+    report["metrics"] = {
+        "mpjpe_mm": float(np.mean(errs["mpjpe"])),
+        "pa_mpjpe_mm": float(np.mean(errs["pa_mpjpe"])),
+        "epe_observed_px": float(np.mean(epe_2d(observed, gt2d))),
+        "epe_reproj_pre_px": float(np.mean(epe_2d(reproj_pre, gt2d))),
+        "epe_reproj_post_px": float(np.mean(epe_2d(reproj_post, gt2d))),
+        "pck": pck_curve(pred3d, gt3d, np.array(PCK_THRESHOLDS_MM)),
+    }
     return report

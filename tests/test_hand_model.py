@@ -215,7 +215,7 @@ class TestSkinning:
         # hand oracle: rigid transform under each of the two joints, averaged
         from dahyf.hand_model import _forward_transforms  # test-only peek at FK internals
 
-        positions, world_rot = _forward_transforms(toy_model, HandShape.zeros(), pose)
+        positions, world_rot = (a[0] for a in _forward_transforms(toy_model, HandShape.zeros().betas[None], pose.rotations[None]))
         np.testing.assert_array_equal(positions, positions_all)
         slots = np.flatnonzero(skin.weights[v_idx])
         artic = toy_model.articulated_indices

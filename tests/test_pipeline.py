@@ -98,6 +98,27 @@ class TestRunPipeline:
         with pytest.raises(RuntimeError, match="frame 1"):
             run_pipeline(PipelineConfig(), obs, tmp_path / "out.jsonl")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_joints2d_names_frame(self, toy_model, tmp_path, bad):
+        seq = synth_sequence(toy_model, 4, seed=1)
+        seq.observed[2]["joints2d"][5][0] = bad
+        obs = tmp_path / "obs.jsonl"
+        write_jsonl(seq.observed, obs)
+        with pytest.raises(RuntimeError, match="frame 2: joints2d"):
+            run_pipeline(PipelineConfig(), obs, tmp_path / "out.jsonl")
+
+    def test_malformed_record_names_frame(self, toy_model, tmp_path):
+        seq = synth_sequence(toy_model, 3, seed=1)
+        seq.observed[1]["pose"] = seq.observed[1]["pose"][:15]
+        del seq.observed[2]["weak"]
+        obs = tmp_path / "obs.jsonl"
+        write_jsonl(seq.observed, obs)
+        with pytest.raises(RuntimeError, match="frame 1: pose must have shape"):
+            run_pipeline(PipelineConfig(), obs, tmp_path / "out.jsonl")
+        write_jsonl([seq.observed[0], seq.observed[2]], obs)
+        with pytest.raises(RuntimeError, match="frame 2: missing field 'weak'"):
+            run_pipeline(PipelineConfig(), obs, tmp_path / "out.jsonl")
+
     def test_missing_model_path(self, clean_sequence, tmp_path):
         _, obs = clean_sequence
         config = PipelineConfig(model_path=str(tmp_path / "nowhere.model"))
