@@ -12,6 +12,7 @@ row-major float64 payload:
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .geometry import DirectionMap
 _DMAP_MAGIC = b"DMAP"
 _CARR_MAGIC = b"CARR"
 BIN_FORMAT_VERSION = 1
+_HEADER_BYTES = 20  # magic, u32 version, three u32 dims
 
 
 class BinaryFormatError(ValueError):
@@ -35,23 +37,44 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
-def write_direction_map(dmap: DirectionMap, path: str | Path) -> None:
+def _write_array(path: str | Path, magic: bytes, dims: tuple[int, int, int], values: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        fh.write(_DMAP_MAGIC)
-        fh.write(struct.pack("<IIII", BIN_FORMAT_VERSION, dmap.width, dmap.height, dmap.channels))
-        fh.write(np.ascontiguousarray(dmap.values, dtype="<f8").tobytes())
+        fh.write(magic)
+        fh.write(struct.pack("<IIII", BIN_FORMAT_VERSION, *dims))
+        fh.write(np.ascontiguousarray(values, dtype="<f8"))
+
+
+def _read_array(path: str | Path, magic: bytes, kind: str) -> tuple[tuple[int, int, int], np.ndarray]:
+    """The header dims of a `magic` file and its payload as a flat array.
+
+    The declared payload is checked against the file size before anything
+    is allocated, then read straight into the result.
+    """
+    with open(path, "rb") as fh:
+        if _read_exact(fh, 4) != magic:
+            raise BinaryFormatError(f"not a {kind} file")
+        version, *dims = struct.unpack("<IIII", _read_exact(fh, 16))
+        if version != BIN_FORMAT_VERSION:
+            raise BinaryFormatError(f"unsupported format version {version}")
+        count = dims[0] * dims[1] * dims[2]
+        available = os.fstat(fh.fileno()).st_size - _HEADER_BYTES
+        if 8 * count > available:
+            raise BinaryFormatError(
+                f"unexpected end of file: header declares {8 * count} payload bytes, file has {available}"
+            )
+        values = np.empty(count, dtype="<f8")
+        if fh.readinto(values) != values.nbytes:
+            raise BinaryFormatError("unexpected end of file")
+    return tuple(dims), values
+
+
+def write_direction_map(dmap: DirectionMap, path: str | Path) -> None:
+    _write_array(path, _DMAP_MAGIC, (dmap.width, dmap.height, dmap.channels), dmap.values)
 
 
 def read_direction_map(path: str | Path) -> DirectionMap:
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != _DMAP_MAGIC:
-            raise BinaryFormatError("not a direction-map file")
-        version, width, height, channels = struct.unpack("<IIII", _read_exact(fh, 16))
-        if version != BIN_FORMAT_VERSION:
-            raise BinaryFormatError(f"unsupported format version {version}")
-        payload = _read_exact(fh, 8 * width * height * channels)
-        values = np.frombuffer(payload, dtype="<f8").reshape(channels, height, width)
-    return DirectionMap(values.copy())
+    (width, height, channels), values = _read_array(path, _DMAP_MAGIC, "direction-map")
+    return DirectionMap(values.reshape(channels, height, width))
 
 
 def write_coord_array(arr: np.ndarray, path: str | Path) -> None:
@@ -59,18 +82,9 @@ def write_coord_array(arr: np.ndarray, path: str | Path) -> None:
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim != 3:
         raise ValueError(f"expected (n_joints, n_axes, n_bins), got shape {a.shape}")
-    with open(path, "wb") as fh:
-        fh.write(_CARR_MAGIC)
-        fh.write(struct.pack("<IIII", BIN_FORMAT_VERSION, a.shape[0], a.shape[1], a.shape[2]))
-        fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    _write_array(path, _CARR_MAGIC, a.shape, a)
 
 
 def read_coord_array(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != _CARR_MAGIC:
-            raise BinaryFormatError("not a coordinate-array file")
-        version, n_joints, n_axes, n_bins = struct.unpack("<IIII", _read_exact(fh, 16))
-        if version != BIN_FORMAT_VERSION:
-            raise BinaryFormatError(f"unsupported format version {version}")
-        payload = _read_exact(fh, 8 * n_joints * n_axes * n_bins)
-        return np.frombuffer(payload, dtype="<f8").reshape(n_joints, n_axes, n_bins).copy()
+    dims, values = _read_array(path, _CARR_MAGIC, "coordinate-array")
+    return values.reshape(dims)

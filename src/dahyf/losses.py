@@ -12,6 +12,7 @@ from typing import Callable
 
 import numpy as np
 
+from .codec import exp_inplace
 from .hand_model import bone_vectors
 
 
@@ -75,9 +76,13 @@ def l2_loss_grad(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return 2.0 * (p - g) / p.size
 
 
-def _log_softmax(f: np.ndarray) -> np.ndarray:
-    shifted = f - f.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _log_softmax(f: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Log-softmax along the last axis; `scratch`, a buffer of f's shape,
+    is overwritten with exp(f - max)."""
+    log_q = f - f.max(axis=-1, keepdims=True)
+    np.copyto(scratch, log_q)
+    log_q -= np.log(exp_inplace(scratch).sum(axis=-1, keepdims=True))
+    return log_q
 
 
 def kl_divergence(target: np.ndarray, logits: np.ndarray) -> float:
@@ -91,19 +96,26 @@ def kl_divergence(target: np.ndarray, logits: np.ndarray) -> float:
     sums = t.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > 1e-9):
         raise ValueError("target distributions must sum to 1 within 1e-9")
-    log_q = _log_softmax(f)
-    log_t = np.zeros_like(t)
-    np.log(t, out=log_t, where=t > 0)
-    per_dist = np.where(t > 0, t * (log_t - log_q), 0.0).sum(axis=-1)
-    return float(per_dist.mean())
+    terms = np.empty_like(f)
+    log_q = _log_softmax(f, terms)
+    # t * (log t - log q) where t > 0, else 0, built in one buffer; the
+    # masked lanes are never computed, so a -inf log q there cannot make 0 * inf
+    positive = t > 0
+    np.log(t, out=terms, where=positive)
+    np.subtract(terms, log_q, out=terms, where=positive)
+    np.multiply(terms, t, out=terms, where=positive)
+    np.copyto(terms, 0.0, where=~positive)
+    return float(terms.sum(axis=-1).mean())
 
 
 def kl_divergence_grad(target: np.ndarray, logits: np.ndarray) -> np.ndarray:
     """Analytic gradient of kl_divergence w.r.t. logits: (softmax - t) / count."""
     t, f = _match(target, logits)
     count = int(np.prod(t.shape[:-1])) if t.ndim > 1 else 1
-    q = np.exp(_log_softmax(f))
-    return (q - t) / count
+    q = exp_inplace(_log_softmax(f, np.empty_like(f)))
+    q -= t
+    q /= count
+    return q
 
 
 def bone_loss(pred_joints: np.ndarray, gt_joints: np.ndarray, parent: np.ndarray) -> float:

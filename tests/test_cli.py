@@ -1,10 +1,12 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dahyf.arrayio import (
+    BinaryFormatError,
     read_coord_array,
     read_direction_map,
     write_coord_array,
@@ -45,6 +47,29 @@ class TestArrayIO:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError):
             read_coord_array(path)
+
+    @pytest.mark.parametrize("read, write", [
+        (read_coord_array, lambda p: write_coord_array(np.ones((21, 2, 672)), p)),
+        (read_direction_map, lambda p: write_direction_map(
+            global_direction_map(PatchSpec(640, 480, (100.0, 50.0), 200.0, focal=800.0), 4), p)),
+    ])
+    def test_truncated_payload(self, tmp_path, read, write):
+        path = tmp_path / "arr.bin"
+        write(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-8])
+        with pytest.raises(BinaryFormatError, match="end of file"):
+            read(path)
+
+    @pytest.mark.parametrize("read, magic", [(read_coord_array, b"CARR"), (read_direction_map, b"DMAP")])
+    def test_huge_header_on_tiny_file(self, tmp_path, read, magic):
+        # the header declares 8 * 5000 * 2500 * 1000 bytes (100 GB): it must be refused
+        # from the file size, before any allocation
+        path = tmp_path / "huge.bin"
+        path.write_bytes(magic + struct.pack("<IIII", 1, 5000, 2500, 1000) + b"\x00" * 20)
+        assert path.stat().st_size == 40
+        with pytest.raises(BinaryFormatError, match="declares 100000000000 payload bytes, file has 20"):
+            read(path)
 
 
 class TestCliCommands:

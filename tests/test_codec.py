@@ -121,3 +121,19 @@ class TestDecode:
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             decode_soft_argmax(bad, CFG)
+
+    def test_rejects_plus_inf(self):
+        bad = np.zeros((1, 2, CFG.n_bins))
+        bad[0, 1, 7] = np.inf
+        with pytest.raises(ValueError, match="NaN or \\+inf"):
+            decode_soft_argmax(bad, CFG)
+
+    def test_all_minus_inf_row_is_an_error(self):
+        # a single -inf bin is legal; a row with no finite logit has no
+        # distribution, and used to decode to NaN with only a warning
+        logits = np.zeros((3, 2, CFG.n_bins))
+        logits[0, 0, :5] = -np.inf
+        assert np.all(np.isfinite(decode_soft_argmax(logits, CFG)))
+        logits[2, 1] = -np.inf
+        with pytest.raises(ValueError, match=r"\(joint 2, axis 1\) is all -inf"):
+            decode_soft_argmax(logits, CFG)

@@ -90,6 +90,20 @@ class TestRunPipeline:
         decoded = np.asarray(read_jsonl(out)[0]["joints2d"])
         np.testing.assert_allclose(decoded, np.asarray(seq.gt[0]["joints2d"]), atol=2e-3)
 
+    def test_all_minus_inf_logits_name_frame(self, toy_model, tmp_path):
+        seq = synth_sequence(toy_model, 3, noise_px=0.0, seed=2)
+        cfg = CodecConfig()
+        for i, doc in enumerate(seq.observed):
+            logits = log_probs(encode_labels(np.asarray(doc["joints2d"]), cfg))
+            if i == 1:
+                logits[4, 0] = -np.inf
+            write_coord_array(logits, tmp_path / f"logits_{i}.bin")
+            doc["logits_file"] = f"logits_{i}.bin"
+        obs = tmp_path / "obs.jsonl"
+        write_jsonl(seq.observed, obs)
+        with pytest.raises(RuntimeError, match=r"frame 1: logits row \(joint 4, axis 0\) is all -inf"):
+            run_pipeline(PipelineConfig(), obs, tmp_path / "out.jsonl")
+
     def test_error_names_frame_index(self, toy_model, tmp_path):
         seq = synth_sequence(toy_model, 3, seed=1)
         seq.observed[1]["weak"]["scale"] = 1e9  # depth ~ 0: behind-camera error
