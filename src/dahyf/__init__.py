@@ -63,6 +63,15 @@ from .metrics import (
     vertex_errors,
 )
 from .pipeline import PipelineConfig, run_pipeline
-from .tempfilter import FilterConfig, FrameResult, SmoothingConfig, gate_sequence, smooth_sequence
+from .tempfilter import (
+    FilterConfig,
+    FrameArrays,
+    FrameResult,
+    SmoothingConfig,
+    gate_arrays,
+    gate_sequence,
+    smooth_arrays,
+    smooth_sequence,
+)
 
 __version__ = "0.1.0"

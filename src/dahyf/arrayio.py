@@ -44,8 +44,11 @@ def _write_array(path: str | Path, magic: bytes, dims: tuple[int, int, int], val
         fh.write(np.ascontiguousarray(values, dtype="<f8"))
 
 
-def _read_array(path: str | Path, magic: bytes, kind: str) -> tuple[tuple[int, int, int], np.ndarray]:
-    """The header dims of a `magic` file and its payload as a flat array.
+def _read_array(
+    path: str | Path, magic: bytes, kind: str, out: np.ndarray | None = None
+) -> tuple[tuple[int, int, int], np.ndarray]:
+    """The header dims of a `magic` file and its payload as a flat array, or
+    in `out`, whose shape must equal the dims.
 
     The declared payload is checked against the file size before anything
     is allocated, then read straight into the result.
@@ -54,6 +57,7 @@ def _read_array(path: str | Path, magic: bytes, kind: str) -> tuple[tuple[int, i
         if _read_exact(fh, 4) != magic:
             raise BinaryFormatError(f"not a {kind} file")
         version, *dims = struct.unpack("<IIII", _read_exact(fh, 16))
+        dims = tuple(dims)
         if version != BIN_FORMAT_VERSION:
             raise BinaryFormatError(f"unsupported format version {version}")
         count = dims[0] * dims[1] * dims[2]
@@ -62,10 +66,15 @@ def _read_array(path: str | Path, magic: bytes, kind: str) -> tuple[tuple[int, i
             raise BinaryFormatError(
                 f"unexpected end of file: header declares {8 * count} payload bytes, file has {available}"
             )
-        values = np.empty(count, dtype="<f8")
+        if out is None:
+            values = np.empty(count, dtype="<f8")
+        elif out.shape != dims:
+            raise BinaryFormatError(f"{kind} file dims {dims} do not match the buffer's {out.shape}")
+        else:
+            values = out
         if fh.readinto(values) != values.nbytes:
             raise BinaryFormatError("unexpected end of file")
-    return tuple(dims), values
+    return dims, values
 
 
 def write_direction_map(dmap: DirectionMap, path: str | Path) -> None:
@@ -85,6 +94,11 @@ def write_coord_array(arr: np.ndarray, path: str | Path) -> None:
     _write_array(path, _CARR_MAGIC, a.shape, a)
 
 
-def read_coord_array(path: str | Path) -> np.ndarray:
-    dims, values = _read_array(path, _CARR_MAGIC, "coordinate-array")
+def read_coord_array(path: str | Path, out: np.ndarray | None = None) -> np.ndarray:
+    """Read a (n_joints, n_axes, n_bins) array, into `out` if given: a
+    C-contiguous, writable float64 buffer that a caller can reuse across
+    files of the same dims."""
+    if out is not None and (out.dtype != np.dtype("<f8") or not out.flags.c_contiguous or not out.flags.writeable):
+        raise ValueError(f"out must be a C-contiguous, writable float64 array, got {out.dtype} {out.shape}")
+    dims, values = _read_array(path, _CARR_MAGIC, "coordinate-array", out)
     return values.reshape(dims)

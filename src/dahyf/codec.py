@@ -105,14 +105,20 @@ def encode_labels(gt_joints: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     return weights
 
 
-def decode_soft_argmax(logits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+def decode_soft_argmax(logits: np.ndarray, cfg: CodecConfig, scratch: np.ndarray | None = None) -> np.ndarray:
     """Soft-argmax decoding of per-axis logits back to patch pixels.
 
-    Per axis: coordinate = E_i[i under softmax(logits)] / scale.
+    Per axis: coordinate = E_i[i under softmax(logits)] / scale.  `scratch`,
+    a float64 buffer of the logits' shape (it may be `logits` itself), is
+    overwritten with the softmax; by default a fresh one is allocated.
     """
     f = np.asarray(logits, dtype=np.float64)
     if f.ndim != 3 or f.shape[-1] != cfg.n_bins or f.shape[1] != 2:
         raise ValueError(f"expected (K, 2, {cfg.n_bins}) logits, got {f.shape}")
+    if scratch is None:
+        scratch = np.empty_like(f)
+    elif scratch.shape != f.shape or scratch.dtype != np.float64:
+        raise ValueError(f"scratch must be float64 of shape {f.shape}, got {scratch.dtype} {scratch.shape}")
     # NaN propagates through max and +inf is the max, so the row maxima show
     # both; -inf entries are legal (zero-probability bins from log-space
     # targets) unless a whole row is -inf.
@@ -122,7 +128,7 @@ def decode_soft_argmax(logits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     if np.any(peak == -np.inf):
         joint, axis, _ = np.argwhere(peak == -np.inf)[0]
         raise ValueError(f"logits row (joint {joint}, axis {axis}) is all -inf")
-    p = exp_inplace(f - peak)
+    p = exp_inplace(np.subtract(f, peak, out=scratch))
     p /= p.sum(axis=-1, keepdims=True)
     bins = np.arange(cfg.n_bins, dtype=np.float64)
     return (p @ bins) / cfg.scale

@@ -141,6 +141,13 @@ class SpecColumns:
         ).T
         return cls(w, h, (ulx, uly), size, net, focal)
 
+    def rows(self, index: np.ndarray) -> "SpecColumns":
+        """The columns of the specs at `index`, an integer array."""
+        return SpecColumns(
+            self.frame_w[index], self.frame_h[index], (self.upper_left[0][index], self.upper_left[1][index]),
+            self.patch_size[index], self.net_size[index], self.focal_or_default[index],
+        )
+
     @property
     def center(self) -> tuple[np.ndarray, np.ndarray]:
         """Patch centers in absolute frame pixels."""

@@ -85,17 +85,22 @@ def _log_softmax(f: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return log_q
 
 
+def _check_targets(t: np.ndarray) -> None:
+    """Targets must be distributions along the last axis.  `t >= 0` is
+    False for NaN, and a +inf bin fails the sum check."""
+    if not np.all(t >= 0):
+        raise ValueError("target distributions must be non-negative and not NaN")
+    if np.any(np.abs(t.sum(axis=-1) - 1.0) > 1e-9):
+        raise ValueError("target distributions must sum to 1 within 1e-9")
+
+
 def kl_divergence(target: np.ndarray, logits: np.ndarray) -> float:
     """KL(target || softmax(logits)), averaged over the leading axes.
 
     Targets must be distributions along the last axis; 0 log 0 counts as 0.
     """
     t, f = _match(target, logits)
-    if np.any(t < 0):
-        raise ValueError("target distributions must be non-negative")
-    sums = t.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
-        raise ValueError("target distributions must sum to 1 within 1e-9")
+    _check_targets(t)
     terms = np.empty_like(f)
     log_q = _log_softmax(f, terms)
     # t * (log t - log q) where t > 0, else 0, built in one buffer; the
@@ -111,6 +116,7 @@ def kl_divergence(target: np.ndarray, logits: np.ndarray) -> float:
 def kl_divergence_grad(target: np.ndarray, logits: np.ndarray) -> np.ndarray:
     """Analytic gradient of kl_divergence w.r.t. logits: (softmax - t) / count."""
     t, f = _match(target, logits)
+    _check_targets(t)
     count = int(np.prod(t.shape[:-1])) if t.ndim > 1 else 1
     q = exp_inplace(_log_softmax(f, np.empty_like(f)))
     q -= t

@@ -1,11 +1,11 @@
 """Pipeline composition: per-frame decode -> FK -> projection -> confidence,
 then sequence-level gating and smoothing, with metrics against ground truth.
 
-The per-frame stages are pure, so each runs once over the whole clip, on
-(T, …) stacks of the frames' parameters; gating and smoothing are
-sequential per sequence.  `FrameResult` records appear only where frames
-are read, filtered and written.  Output ordering always matches input
-ordering.
+Input records are parsed into `FrameResult`s; from there the clip is one
+`FrameArrays` struct of (T, …) arrays, so each per-frame stage runs once
+over the whole clip, gating and smoothing run on the arrays, and the output
+records are written straight from them.  Output ordering always matches
+input ordering.
 """
 
 from __future__ import annotations
@@ -25,9 +25,17 @@ from .codec import CodecConfig, decode_soft_argmax
 from .confidence import cosine_confidence, normalize_pred, normalize_proj
 from .data import read_jsonl, write_jsonl
 from .geometry import RowError, SpecColumns, frame_to_patch_abs
-from .hand_model import HandModelParams, load_model, posed_joints
+from .hand_model import N_KEYPOINTS, HandModelParams, load_model, posed_joints
 from .metrics import epe_2d, joint_errors, pck_curve
-from .tempfilter import FilterConfig, FrameResult, SmoothingConfig, gate_sequence, smooth_sequence
+from .tempfilter import (
+    NOT_REPLACED,
+    FilterConfig,
+    FrameArrays,
+    FrameResult,
+    SmoothingConfig,
+    gate_arrays,
+    smooth_arrays,
+)
 
 CONFIG_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
@@ -141,13 +149,16 @@ def _apply_focal_policy(frame: FrameResult, config: PipelineConfig) -> FrameResu
     return frame
 
 
-def _read_frame(doc: dict, position: int, config: PipelineConfig, in_path: Path) -> FrameResult:
-    """Parse one input record, apply the focal policy and decode its logits."""
+def _read_frame(
+    doc: dict, position: int, config: PipelineConfig, in_dir: Path, logits_buf: np.ndarray
+) -> FrameResult:
+    """Parse one input record and apply the focal policy; a record with a
+    logits file gets the joints decoded from it, through `logits_buf`."""
     try:
-        frame = _apply_focal_policy(FrameResult.from_dict(doc), config)
         if doc.get("logits_file"):
-            logits = read_coord_array(in_path.parent / doc["logits_file"])
-            frame = replace(frame, joints2d=decode_soft_argmax(logits, config.codec))
+            logits = read_coord_array(in_dir / doc["logits_file"], out=logits_buf)
+            doc = {**doc, "joints2d": decode_soft_argmax(logits, config.codec, scratch=logits)}
+        frame = _apply_focal_policy(FrameResult.from_dict(doc), config)
     except (ValueError, KeyError, TypeError, OSError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise RuntimeError(f"frame {doc.get('frame_index', position)}: {detail}") from exc
@@ -155,22 +166,33 @@ def _read_frame(doc: dict, position: int, config: PipelineConfig, in_path: Path)
 
 
 @contextmanager
-def _naming_frames(frames: list[FrameResult]):
-    """Re-raise a failed row check on a stack of `frames` naming the frame."""
+def _naming_frames(frame_index: np.ndarray):
+    """Re-raise a failed row check on a stack of frames naming the frame."""
     try:
         yield
     except RowError as exc:
-        raise RuntimeError(f"frame {frames[exc.row].frame_index}: {exc}") from exc
+        raise RuntimeError(f"frame {frame_index[exc.row]}: {exc}") from exc
 
 
-def _reproject(model: HandModelParams, frames: list[FrameResult], specs: SpecColumns):
-    """FK joints (T, 21, 3) of the frames and their frame-pixel projections (T, 21, 2)."""
-    betas = np.stack([f.shape.betas for f in frames])
-    rotations = np.stack([f.pose.rotations for f in frames])
-    weak = np.array([(f.weak.scale, f.weak.tx, f.weak.ty) for f in frames])
+def _reproject(model: HandModelParams, frame_index, betas, rotations, weak, specs: SpecColumns):
+    """FK joints (T, 21, 3) of T frames' parameters and their frame-pixel
+    projections (T, 21, 2)."""
     joints3d = posed_joints(model, betas, rotations)
-    with _naming_frames(frames):
+    with _naming_frames(frame_index):
         return joints3d, project_points(joints3d, weak_to_full(weak, specs))
+
+
+def _repose_changed(model, raw: FrameArrays, out: FrameArrays, specs: SpecColumns, joints3d, uv):
+    """`_reproject` of `out` given that of `raw`: only the rows whose pose,
+    shape or camera gating and smoothing changed are posed again."""
+    rows = np.flatnonzero(out.reposed_rows(raw))
+    if rows.size == 0:
+        return joints3d, uv
+    joints3d, uv = joints3d.copy(), uv.copy()
+    joints3d[rows], uv[rows] = _reproject(
+        model, out.frame_index[rows], out.betas[rows], out.rotations[rows], out.weak[rows], specs.rows(rows)
+    )
+    return joints3d, uv
 
 
 def run_pipeline(
@@ -183,47 +205,45 @@ def run_pipeline(
     """Run decode/FK/project/confidence, gate, smooth; write results + report.
 
     Every input frame produces exactly one output line, in order.  Errors in
-    any stage are re-raised with the offending frame index.
+    any stage are re-raised with the offending frame index.  Every logits
+    file of the clip is read and decoded through one buffer.
     """
     model = _resolve_model(config)
     raw_docs = read_jsonl(in_path)
     if not raw_docs:
         raise ValueError(f"no frames in {in_path}")
 
-    frames = [_read_frame(doc, i, config, Path(in_path)) for i, doc in enumerate(raw_docs)]
-    specs = SpecColumns.stack([f.spec for f in frames])
-    _, pre_uv = _reproject(model, frames, specs)
-    with _naming_frames(frames):
-        confidences = cosine_confidence(
-            normalize_pred(np.stack([f.joints2d for f in frames]), specs), normalize_proj(pre_uv, specs)
-        )
-    frames = [replace(f, confidence=float(c)) for f, c in zip(frames, confidences)]
+    logits_buf = np.empty((N_KEYPOINTS, 2, config.codec.n_bins))
+    in_dir = Path(in_path).parent
+    raw = FrameArrays.from_frames([_read_frame(doc, i, config, in_dir, logits_buf) for i, doc in enumerate(raw_docs)])
+    specs = SpecColumns.stack(raw.specs)
+    pre_joints3d, pre_uv = _reproject(model, raw.frame_index, raw.betas, raw.rotations, raw.weak, specs)
+    with _naming_frames(raw.frame_index):
+        confidence = cosine_confidence(normalize_pred(raw.joints2d, specs), normalize_proj(pre_uv, specs))
+    raw = replace(raw, confidence=confidence)
 
-    gated = gate_sequence(frames, config.filter)
-    smoothed = smooth_sequence(gated, config.filter)
-    post_joints3d, post_uv = _reproject(model, smoothed, specs)
+    out = smooth_arrays(gate_arrays(raw, config.filter), config.filter)
+    post_joints3d, post_uv = _repose_changed(model, raw, out, specs, pre_joints3d, pre_uv)
 
-    out_docs = []
-    for frame, joints3d in zip(smoothed, post_joints3d):
-        doc = frame.to_dict()
-        doc["joints3d"] = joints3d.tolist()
-        out_docs.append(doc)
+    out_docs = out.to_records()
+    for doc, joints3d in zip(out_docs, post_joints3d.tolist()):
+        doc["joints3d"] = joints3d
     write_jsonl(out_docs, out_path)
 
-    report = _build_report(config, frames, smoothed, specs, pre_uv, post_joints3d, post_uv, gt_path)
+    report = _build_report(config, raw, out, specs, pre_uv, post_joints3d, post_uv, gt_path)
     if report_path is not None:
         Path(report_path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return report
 
 
-def _build_report(config, raw_frames, out_frames, specs, pre_uv, post_joints3d, post_uv, gt_path) -> dict:
-    confidences = [f.confidence for f in raw_frames]
+def _build_report(config, raw: FrameArrays, out: FrameArrays, specs, pre_uv, post_joints3d, post_uv, gt_path) -> dict:
+    confidences = raw.confidence.tolist()
     report = {
         "format_version": REPORT_FORMAT_VERSION,
-        "n_frames": len(raw_frames),
+        "n_frames": len(confidences),
         "threshold": config.filter.threshold,
-        "replaced_frames": [f.frame_index for f in out_frames if f.replaced_from is not None],
-        "unreliable_frames": [f.frame_index for f in out_frames if f.unreliable],
+        "replaced_frames": out.frame_index[out.replaced_from != NOT_REPLACED].tolist(),
+        "unreliable_frames": out.frame_index[out.unreliable].tolist(),
         "confidence": {
             "min": min(confidences),
             "mean": sum(confidences) / len(confidences),
@@ -233,16 +253,17 @@ def _build_report(config, raw_frames, out_frames, specs, pre_uv, post_joints3d, 
         return report
 
     gt_by_index = {doc["frame_index"]: doc for doc in read_jsonl(gt_path)}
-    rows = [t for t, f in enumerate(raw_frames) if f.frame_index in gt_by_index]
+    frame_index = raw.frame_index.tolist()
+    rows = [t for t, i in enumerate(frame_index) if i in gt_by_index]
     if not rows:
         return report
-    gt_docs = [gt_by_index[raw_frames[t].frame_index] for t in rows]
+    gt_docs = [gt_by_index[frame_index[t]] for t in rows]
     gt3d = np.array([doc["joints3d"] for doc in gt_docs], dtype=np.float64)
     gt2d = np.array([doc["joints2d"] for doc in gt_docs], dtype=np.float64)
     pred3d = post_joints3d[rows]
-    with _naming_frames([raw_frames[t] for t in rows]):
+    with _naming_frames(raw.frame_index[rows]):
         errs = joint_errors(pred3d, gt3d)
-    observed = np.stack([raw_frames[t].joints2d for t in rows])
+    observed = raw.joints2d[rows]
     reproj_pre = frame_to_patch_abs(pre_uv, specs)[rows]
     reproj_post = frame_to_patch_abs(post_uv, specs)[rows]
     report["metrics"] = {

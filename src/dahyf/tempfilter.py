@@ -7,6 +7,11 @@ pose/shape/camera with those of the most recent high-confidence frame
 value untouched.  Smoothing then runs per scalar channel over the gated
 sequence; pose axis-angles are canonicalized to [0, pi] magnitude first so
 the filter never sees 2-pi representation jumps.
+
+A clip goes through the filter as a `FrameArrays` struct of (T, …)
+arrays (`gate_arrays`, `smooth_arrays`).  `gate_sequence` and
+`smooth_sequence` run the same functions on a list of `FrameResult`
+records, for callers that hold records.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ from .hand_model import HandPose, HandShape, canonicalize_axis_angle
 FRAME_FORMAT_VERSION = 1
 
 SMOOTHING_MODES = ("off", "exponential", "one_euro")
+
+# `FrameArrays.replaced_from` of a frame that kept its own parameters
+NOT_REPLACED = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
@@ -59,7 +67,8 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class FrameResult:
-    """One frame's motion-capture record flowing through the filter."""
+    """One frame's motion-capture record, as read and written; a clip goes
+    through the filter as `FrameArrays`."""
 
     frame_index: int
     pose: HandPose
@@ -75,23 +84,18 @@ class FrameResult:
         pts = np.asarray(self.joints2d, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"joints2d must be (K, 2), got {pts.shape}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("joints2d contains non-finite values")
         if self.confidence is not None and not -1.0 <= self.confidence <= 1.0:
             raise ValueError("confidence must lie in [-1, 1]")
         object.__setattr__(self, "joints2d", pts)
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": FRAME_FORMAT_VERSION,
-            "frame_index": self.frame_index,
-            "pose": self.pose.rotations.tolist(),
-            "shape": self.shape.betas.tolist(),
-            "weak": self.weak.to_dict(),
-            "joints2d": self.joints2d.tolist(),
-            "spec": self.spec.to_dict(),
-            "confidence": self.confidence,
-            "unreliable": self.unreliable,
-            "replaced_from": self.replaced_from,
-        }
+        return frame_record(
+            self.frame_index, self.pose.rotations.tolist(), self.shape.betas.tolist(),
+            (self.weak.scale, self.weak.tx, self.weak.ty), self.joints2d.tolist(), self.spec.to_dict(),
+            self.confidence, self.unreliable, self.replaced_from,
+        )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FrameResult":
@@ -104,50 +108,125 @@ class FrameResult:
             spec=PatchSpec.from_dict(doc["spec"]),
             confidence=None if doc.get("confidence") is None else float(doc["confidence"]),
             unreliable=bool(doc.get("unreliable", False)),
-            replaced_from=doc.get("replaced_from"),
+            replaced_from=None if doc.get("replaced_from") is None else int(doc["replaced_from"]),
         )
 
 
-def _check_sequence(frames: Sequence[FrameResult]) -> None:
-    if len(frames) == 0:
-        raise ValueError("sequence must contain at least one frame")
-    indices = [f.frame_index for f in frames]
-    if any(b <= a for a, b in zip(indices, indices[1:])):
-        raise ValueError("frame indices must be strictly increasing")
+def frame_record(frame_index, pose, shape, weak, joints2d, spec, confidence, unreliable, replaced_from) -> dict:
+    """The JSON layout of one frame record, shared by `FrameResult.to_dict`
+    and `FrameArrays.to_records`.  Arrays come as nested lists, `weak` as a
+    (scale, tx, ty) triple and `spec` as its dict."""
+    scale, tx, ty = weak
+    return {
+        "format_version": FRAME_FORMAT_VERSION,
+        "frame_index": frame_index,
+        "pose": pose,
+        "shape": shape,
+        "weak": {"scale": scale, "tx": tx, "ty": ty},
+        "joints2d": joints2d,
+        "spec": spec,
+        "confidence": confidence,
+        "unreliable": unreliable,
+        "replaced_from": replaced_from,
+    }
 
 
-def gate_sequence(frames: Sequence[FrameResult], cfg: FilterConfig) -> list[FrameResult]:
+@dataclass(frozen=True)
+class FrameArrays:
+    """A clip's frame records as (T, …) arrays, row t for frame t: the form
+    a clip takes through gating and smoothing.  `confidence` is NaN where a
+    frame has none and `replaced_from` is NOT_REPLACED where a frame kept
+    its own parameters."""
+
+    frame_index: np.ndarray    # (T,) int64
+    rotations: np.ndarray      # (T, 16, 3) axis-angle radians
+    betas: np.ndarray          # (T, 10)
+    weak: np.ndarray           # (T, 3) rows of (scale, tx, ty)
+    joints2d: np.ndarray       # (T, K, 2) patch pixels
+    specs: tuple[PatchSpec, ...]
+    confidence: np.ndarray     # (T,)
+    unreliable: np.ndarray     # (T,) bool
+    replaced_from: np.ndarray  # (T,) int64
+
+    @classmethod
+    def from_frames(cls, frames: Sequence[FrameResult]) -> "FrameArrays":
+        if len(frames) == 0:
+            raise ValueError("sequence must contain at least one frame")
+        return cls(
+            frame_index=np.array([f.frame_index for f in frames], dtype=np.int64),
+            rotations=np.stack([f.pose.rotations for f in frames]),
+            betas=np.stack([f.shape.betas for f in frames]),
+            weak=np.array([(f.weak.scale, f.weak.tx, f.weak.ty) for f in frames], dtype=np.float64),
+            joints2d=np.stack([f.joints2d for f in frames]),
+            specs=tuple(f.spec for f in frames),
+            confidence=np.array([np.nan if f.confidence is None else f.confidence for f in frames]),
+            unreliable=np.array([f.unreliable for f in frames], dtype=bool),
+            replaced_from=np.array([NOT_REPLACED if f.replaced_from is None else f.replaced_from for f in frames],
+                                   dtype=np.int64),
+        )
+
+    def to_records(self) -> list[dict]:
+        """One `frame_record` per row, as `FrameResult.to_dict` writes it."""
+        confidence = [None if math.isnan(c) else c for c in self.confidence.tolist()]
+        replaced_from = [None if r == NOT_REPLACED else r for r in self.replaced_from.tolist()]
+        return [
+            frame_record(*row)
+            for row in zip(
+                self.frame_index.tolist(), self.rotations.tolist(), self.betas.tolist(), self.weak.tolist(),
+                self.joints2d.tolist(), (spec.to_dict() for spec in self.specs), confidence,
+                self.unreliable.tolist(), replaced_from,
+            )
+        ]
+
+    def reposed_rows(self, other: "FrameArrays") -> np.ndarray:
+        """(T,) mask of the rows whose pose, shape or camera differ from
+        `other`'s in any bit: the rows whose joints must be recomputed."""
+        return _rows_differ(self.rotations, other.rotations) | _rows_differ(self.betas, other.betas) \
+            | _rows_differ(self.weak, other.weak)
+
+
+def _rows_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row of two (T, …) float64 stacks, whether any element differs in
+    any bit (so -0.0 differs from 0.0)."""
+    return (a.view(np.uint64) != b.view(np.uint64)).reshape(len(a), -1).any(axis=1)
+
+
+def _check_indices(frame_index: np.ndarray) -> None:
+    late = np.flatnonzero(frame_index[1:] <= frame_index[:-1])
+    if late.size:
+        t = late[0] + 1
+        raise ValueError(
+            f"frame {frame_index[t]}: frame_index {frame_index[t]} is not greater than the previous "
+            f"frame's ({frame_index[t - 1]}); frame indices must be strictly increasing"
+        )
+
+
+def gate_arrays(clip: FrameArrays, cfg: FilterConfig) -> FrameArrays:
     """Replace low-confidence frames' pose/shape/camera with the most recent
     high-confidence frame's, within `max_hold_frames`.
 
-    Frames with no eligible donor are marked unreliable and passed through
-    unmodified.  Confidence values and 2D observations are never rewritten,
+    Frames with no eligible donor are marked unreliable and keep their own
+    parameters.  Confidence values and 2D observations are never rewritten,
     which makes the operation idempotent.
     """
-    _check_sequence(frames)
-    out: list[FrameResult] = []
-    donor: FrameResult | None = None
-    for frame in frames:
-        if frame.confidence is None:
-            raise ValueError(f"frame {frame.frame_index} has no confidence; compute it before gating")
-        if frame.confidence >= cfg.threshold:
-            donor = frame
-            out.append(frame)
-            continue
-        if donor is not None and frame.frame_index - donor.frame_index <= cfg.max_hold_frames:
-            out.append(
-                replace(
-                    frame,
-                    pose=donor.pose,
-                    shape=donor.shape,
-                    weak=donor.weak,
-                    unreliable=False,
-                    replaced_from=donor.frame_index,
-                )
-            )
-        else:
-            out.append(replace(frame, unreliable=True))
-    return out
+    _check_indices(clip.frame_index)
+    missing = np.isnan(clip.confidence)
+    if missing.any():
+        raise ValueError(f"frame {clip.frame_index[np.argmax(missing)]} has no confidence; compute it before gating")
+    confident = clip.confidence >= cfg.threshold
+    rows = np.arange(len(confident))
+    donor = np.maximum.accumulate(np.where(confident, rows, -1))  # latest confident row, -1 if none yet
+    held = ~confident & (donor >= 0)
+    held[held] = clip.frame_index[held] - clip.frame_index[donor[held]] <= cfg.max_hold_frames
+    source = np.where(held, donor, rows)
+    return replace(
+        clip,
+        rotations=clip.rotations[source],
+        betas=clip.betas[source],
+        weak=clip.weak[source],
+        unreliable=np.where(held, False, clip.unreliable | ~(confident | held)),
+        replaced_from=np.where(held, clip.frame_index[source], clip.replaced_from),
+    )
 
 
 def _exp_alpha(cutoff, dt):
@@ -155,66 +234,69 @@ def _exp_alpha(cutoff, dt):
     return r / (r + 1.0)
 
 
-class _OneEuro:
-    """Vectorized one-euro filter over a channel vector; time in frame units."""
+def smooth_arrays(clip: FrameArrays, cfg: FilterConfig) -> FrameArrays:
+    """Causal per-channel smoothing of pose, shape, and weak camera.
 
-    def __init__(self, cfg: SmoothingConfig, t0: float, x0: np.ndarray):
-        self.cfg = cfg
-        self.t_prev = t0
-        self.x_prev = x0
-        self.dx_prev = np.zeros_like(x0)
+    Each row's 61 channels (canonical axis-angles, betas, scale/tx/ty) follow
+    the configured exponential or one-euro recurrence, with time in frame
+    units; the first row passes through after pose canonicalization.  2D
+    observations and confidences are untouched.
+    """
+    _check_indices(clip.frame_index)
+    smoothing = cfg.smoothing
+    if smoothing.mode == "off":
+        return clip
+    n = len(clip.frame_index)
+    state = np.concatenate([canonicalize_axis_angle(clip.rotations).reshape(n, -1), clip.betas, clip.weak], axis=1)
+    if smoothing.mode == "exponential":
+        keep = 1.0 - smoothing.alpha
+        for t in range(1, n):
+            state[t] = smoothing.alpha * state[t] + keep * state[t - 1]
+    else:  # one_euro, after Casiez et al. (CHI 2012)
+        dts = np.diff(clip.frame_index.astype(np.float64))
+        a_ds = _exp_alpha(smoothing.d_cutoff, dts)
+        dx_hat = np.zeros(state.shape[1])
+        for t in range(1, n):
+            x, x_prev, dt, a_d = state[t], state[t - 1], dts[t - 1], a_ds[t - 1]
+            dx_hat = a_d * ((x - x_prev) / dt) + (1.0 - a_d) * dx_hat
+            a = _exp_alpha(smoothing.min_cutoff + smoothing.beta * np.abs(dx_hat), dt)
+            state[t] = a * x + (1.0 - a) * x_prev
+    return replace(clip, rotations=state[:, :48].reshape(n, 16, 3), betas=state[:, 48:58], weak=state[:, 58:])
 
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        dt = t - self.t_prev
-        a_d = _exp_alpha(self.cfg.d_cutoff, dt)
-        dx = (x - self.x_prev) / dt
-        dx_hat = a_d * dx + (1.0 - a_d) * self.dx_prev
-        cutoff = self.cfg.min_cutoff + self.cfg.beta * np.abs(dx_hat)
-        a = _exp_alpha(cutoff, dt)
-        x_hat = a * x + (1.0 - a) * self.x_prev
-        self.t_prev = t
-        self.x_prev = x_hat
-        self.dx_prev = dx_hat
-        return x_hat
+
+def _as_frames(frames: Sequence[FrameResult], before: FrameArrays, after: FrameArrays) -> list[FrameResult]:
+    """`frames` carrying the rows of `after`; a field whose row is the same
+    in `before` and `after`, bit for bit, keeps the frame's own object."""
+    new_pose = _rows_differ(before.rotations, after.rotations)
+    new_shape = _rows_differ(before.betas, after.betas)
+    new_weak = _rows_differ(before.weak, after.weak)
+    new_flags = (before.unreliable != after.unreliable) | (before.replaced_from != after.replaced_from)
+    out = []
+    for t, frame in enumerate(frames):
+        changes = {}
+        if new_pose[t]:
+            changes["pose"] = HandPose(after.rotations[t])
+        if new_shape[t]:
+            changes["shape"] = HandShape(after.betas[t])
+        if new_weak[t]:
+            changes["weak"] = WeakCamera(*after.weak[t].tolist())
+        if new_flags[t]:
+            donor = int(after.replaced_from[t])
+            changes["unreliable"] = bool(after.unreliable[t])
+            changes["replaced_from"] = None if donor == NOT_REPLACED else donor
+        out.append(replace(frame, **changes) if changes else frame)
+    return out
 
 
-def _state_vector(frame: FrameResult) -> np.ndarray:
-    pose = canonicalize_axis_angle(frame.pose.rotations).reshape(-1)
-    weak = np.array([frame.weak.scale, frame.weak.tx, frame.weak.ty])
-    return np.concatenate([pose, frame.shape.betas, weak])
-
-
-def _with_state(frame: FrameResult, state: np.ndarray) -> FrameResult:
-    pose = HandPose(state[:48].reshape(16, 3))
-    shape = HandShape(state[48:58])
-    weak = WeakCamera(scale=float(state[58]), tx=float(state[59]), ty=float(state[60]))
-    return replace(frame, pose=pose, shape=shape, weak=weak)
+def gate_sequence(frames: Sequence[FrameResult], cfg: FilterConfig) -> list[FrameResult]:
+    """`gate_arrays` over a list of records; a record the gate leaves
+    unchanged comes back as the same object."""
+    clip = FrameArrays.from_frames(frames)
+    return _as_frames(frames, clip, gate_arrays(clip, cfg))
 
 
 def smooth_sequence(frames: Sequence[FrameResult], cfg: FilterConfig) -> list[FrameResult]:
-    """Causal per-channel smoothing of pose, shape, and weak camera.
-
-    The first frame passes through (after pose canonicalization); later
-    frames follow the configured exponential or one-euro recurrence.  2D
-    observations and confidences are untouched.
-    """
-    _check_sequence(frames)
-    smoothing = cfg.smoothing
-    if smoothing.mode == "off":
-        return list(frames)
-
-    out = []
-    x0 = _state_vector(frames[0])
-    out.append(_with_state(frames[0], x0))
-    if smoothing.mode == "exponential":
-        y = x0
-        for frame in frames[1:]:
-            x = _state_vector(frame)
-            y = smoothing.alpha * x + (1.0 - smoothing.alpha) * y
-            out.append(_with_state(frame, y))
-    else:  # one_euro
-        filt = _OneEuro(smoothing, float(frames[0].frame_index), x0)
-        for frame in frames[1:]:
-            y = filt(float(frame.frame_index), _state_vector(frame))
-            out.append(_with_state(frame, y))
-    return out
+    """`smooth_arrays` over a list of records; a record the filter leaves
+    unchanged comes back as the same object."""
+    clip = FrameArrays.from_frames(frames)
+    return _as_frames(frames, clip, smooth_arrays(clip, cfg))

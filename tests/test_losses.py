@@ -71,6 +71,14 @@ class TestKL:
         with pytest.raises(ValueError, match="sum to 1"):
             kl_divergence(t, np.zeros((1, 1, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("fn", [kl_divergence, kl_divergence_grad])
+    def test_rejects_nonfinite_target_bin(self, fn, bad):
+        t = np.array([[[0.5, 0.5, 0.0, 0.0]]])
+        t[0, 0, 3] = bad
+        with pytest.raises(ValueError, match="target distributions must"):
+            fn(t, np.zeros((1, 1, 4)))
+
     def test_zero_entries_do_not_nan(self):
         t = np.array([[[0.5, 0.5, 0.0, 0.0]]])
         value = kl_divergence(t, np.zeros((1, 1, 4)))

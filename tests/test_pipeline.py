@@ -121,6 +121,18 @@ class TestRunPipeline:
         with pytest.raises(RuntimeError, match="frame 2: joints2d"):
             run_pipeline(PipelineConfig(), obs, tmp_path / "out.jsonl")
 
+    @pytest.mark.parametrize("indices, bad, prev", [([0, 1, 1, 2], 1, 1), ([0, 2, 1, 3], 1, 2)],
+                             ids=["duplicate", "decreasing"])
+    def test_bad_frame_index_names_frame(self, toy_model, tmp_path, indices, bad, prev):
+        seq = synth_sequence(toy_model, 4, seed=1)
+        for doc, index in zip(seq.observed, indices):
+            doc["frame_index"] = index
+        obs = tmp_path / "obs.jsonl"
+        write_jsonl(seq.observed, obs)
+        with pytest.raises(ValueError, match=rf"frame {bad}: frame_index {bad} is not greater than "
+                                             rf"the previous frame's \({prev}\)"):
+            run_pipeline(PipelineConfig(), obs, tmp_path / "out.jsonl")
+
     def test_malformed_record_names_frame(self, toy_model, tmp_path):
         seq = synth_sequence(toy_model, 3, seed=1)
         seq.observed[1]["pose"] = seq.observed[1]["pose"][:15]

@@ -41,6 +41,13 @@ class TestFrameSerialization:
         with pytest.raises(ValueError):
             make_frame(0, 1.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_joints2d_rejected(self, bad):
+        doc = make_frame(0, 0.9).to_dict()  # zero joints, as a logits-only record carries, are legal
+        doc["joints2d"][4][1] = bad
+        with pytest.raises(ValueError, match="joints2d contains non-finite values"):
+            FrameResult.from_dict(doc)
+
 
 class TestGate:
     def test_single_dropout_takes_previous(self):
