@@ -60,6 +60,7 @@ from .metrics import (
     joint_errors,
     pck_curve,
     procrustes_align,
+    summarize,
     vertex_errors,
 )
 from .pipeline import PipelineConfig, run_pipeline

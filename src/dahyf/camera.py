@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PatchSpec, RowError, SpecColumns, per_point
+from .jsonrecord import JsonRecord
 
 MIN_DEPTH = 1e-6
 
 
 @dataclass(frozen=True)
-class WeakCamera:
+class WeakCamera(JsonRecord):
     """Weak-perspective parameters (scale, tx, ty) in normalized patch units."""
 
     scale: float
@@ -35,13 +36,6 @@ class WeakCamera:
             raise ValueError("weak camera parameters must be finite")
         if self.scale <= 0:
             raise ValueError("weak camera scale must be positive")
-
-    def to_dict(self) -> dict:
-        return {"scale": self.scale, "tx": self.tx, "ty": self.ty}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "WeakCamera":
-        return cls(float(doc["scale"]), float(doc["tx"]), float(doc["ty"]))
 
 
 @dataclass(frozen=True)

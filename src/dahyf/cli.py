@@ -3,17 +3,14 @@
 Subcommands: dirmap, codec encode|decode, pe, fk, project, confidence,
 filter, eval, synth, gradcheck, run.  All JSON artifacts carry a
 format_version field; dense arrays use the binary containers in `arrayio`.
-The DAHYF_SEED environment variable overrides any seed argument or config
-seed.
+The DAHYF_SEED environment variable overrides any seed argument.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -37,37 +34,22 @@ from .losses import (
     l2_loss,
     l2_loss_grad,
 )
-from .metrics import epe_2d, f_score, joint_errors, pck_curve
-from .pipeline import SEED_ENV_VAR, PipelineConfig, load_config, run_pipeline
-from .tempfilter import FilterConfig, FrameResult, SmoothingConfig, gate_sequence, smooth_sequence
+from .jsonrecord import read_json, write_json
+from .metrics import epe_2d, f_score, summarize
+from .pipeline import PipelineConfig, load_config, run_pipeline
+from .tempfilter import SMOOTHING_MODES, FilterConfig, FrameResult, SmoothingConfig, gate_sequence, smooth_sequence
 
 JSON_FORMAT_VERSION = 1
 
-
-def _read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def _write_json(doc, path):
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+SEED_ENV_VAR = "DAHYF_SEED"
 
 
 def _load_joints(path, dim):
-    doc = _read_json(path)
+    doc = read_json(path)
     joints = np.asarray(doc["joints"], dtype=np.float64)
     if joints.ndim != 2 or joints.shape[1] != dim:
         raise ValueError(f"{path}: expected joints of dimension {dim}")
     return joints
-
-
-def _load_spec(path) -> PatchSpec:
-    return PatchSpec.from_dict(_read_json(path))
-
-
-def _load_codec_cfg(path) -> CodecConfig:
-    if path is None:
-        return CodecConfig()
-    return CodecConfig.from_dict(_read_json(path))
 
 
 def _seed_override(seed: int) -> int:
@@ -76,7 +58,7 @@ def _seed_override(seed: int) -> int:
 
 
 def _cmd_dirmap(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = PatchSpec.from_dict(read_json(args.spec))
     if args.local:
         dmap = local_direction_map(spec.feat_size, args.channels)
     else:
@@ -87,7 +69,7 @@ def _cmd_dirmap(args) -> int:
 
 
 def _cmd_codec_encode(args) -> int:
-    cfg = _load_codec_cfg(args.cfg)
+    cfg = CodecConfig.from_dict(read_json(args.cfg)) if args.cfg else CodecConfig()
     targets = encode_labels(_load_joints(args.joints, 2), cfg)
     write_coord_array(targets, args.out)
     print(f"wrote targets {targets.shape} to {args.out}")
@@ -95,9 +77,9 @@ def _cmd_codec_encode(args) -> int:
 
 
 def _cmd_codec_decode(args) -> int:
-    cfg = _load_codec_cfg(args.cfg)
+    cfg = CodecConfig.from_dict(read_json(args.cfg)) if args.cfg else CodecConfig()
     joints = decode_soft_argmax(read_coord_array(args.logits), cfg)
-    _write_json({"format_version": JSON_FORMAT_VERSION, "joints": joints.tolist()}, args.out)
+    write_json({"format_version": JSON_FORMAT_VERSION, "joints": joints.tolist()}, args.out)
     print(f"wrote {joints.shape[0]} decoded joints to {args.out}")
     return 0
 
@@ -106,7 +88,7 @@ def _cmd_pe(args) -> int:
     joints = _load_joints(args.joints, 2)
     mu = pe_normalize(joints, args.sp, args.focal)
     encoding = positional_encode(mu, args.octaves)
-    _write_json(
+    write_json(
         {
             "format_version": JSON_FORMAT_VERSION,
             "mu": mu.tolist(),
@@ -120,20 +102,20 @@ def _cmd_pe(args) -> int:
 
 def _cmd_fk(args) -> int:
     model = load_model(args.model if args.model else toy.bundled_model_path())
-    pose = HandPose(np.asarray(_read_json(args.pose)["pose"], dtype=np.float64))
-    shape = HandShape(np.asarray(_read_json(args.shape)["shape"], dtype=np.float64)) if args.shape else HandShape.zeros()
+    pose = HandPose(np.asarray(read_json(args.pose)["pose"], dtype=np.float64))
+    shape = HandShape(np.asarray(read_json(args.shape)["shape"], dtype=np.float64)) if args.shape else HandShape.zeros()
     joints = forward_kinematics(model, shape, pose)
-    _write_json({"format_version": JSON_FORMAT_VERSION, "joints": joints.tolist()}, args.out)
+    write_json({"format_version": JSON_FORMAT_VERSION, "joints": joints.tolist()}, args.out)
     print(f"wrote 21 posed joints to {args.out}")
     return 0
 
 
 def _cmd_project(args) -> int:
     joints3d = _load_joints(args.joints, 3)
-    weak = WeakCamera.from_dict(_read_json(args.weak))
-    spec = _load_spec(args.spec)
+    weak = WeakCamera.from_dict(read_json(args.weak))
+    spec = PatchSpec.from_dict(read_json(args.spec))
     uv = project_points(joints3d, weak_to_full(weak, spec))
-    _write_json({"format_version": JSON_FORMAT_VERSION, "joints": uv.tolist()}, args.out)
+    write_json({"format_version": JSON_FORMAT_VERSION, "joints": uv.tolist()}, args.out)
     print(f"wrote {uv.shape[0]} projected joints to {args.out}")
     return 0
 
@@ -148,7 +130,7 @@ def _cmd_confidence(args) -> int:
             )
             print(f"{conf:.6f}")
         return 0
-    spec = _load_spec(args.spec)
+    spec = PatchSpec.from_dict(read_json(args.spec))
     conf = cosine_confidence(
         normalize_pred(_load_joints(args.pred, 2), spec),
         normalize_proj(_load_joints(args.proj, 2), spec),
@@ -171,47 +153,33 @@ def _cmd_filter(args) -> int:
     return 0
 
 
+def _matched(pairs, key):
+    """(pred, gt) stacks of `key` over the matched frames that hold it in
+    both documents, or None when none does."""
+    rows = [(pred[key], gt[key]) for pred, gt in pairs if key in pred and key in gt]
+    if not rows:
+        return None
+    pred, gt = zip(*rows)
+    return np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
+
+
 def _cmd_eval(args) -> int:
     pred_docs = read_jsonl(args.pred)
-    gt_docs = read_jsonl(args.gt)
-    gt_by_index = {doc.get("frame_index", i): doc for i, doc in enumerate(gt_docs)}
-    mpjpe, pa_mpjpe, epe, f5, f15 = [], [], [], [], []
-    pred3d, gt3d = [], []
-    for i, doc in enumerate(pred_docs):
-        gt_doc = gt_by_index.get(doc.get("frame_index", i))
-        if gt_doc is None:
-            continue
-        if "joints3d" in doc and "joints3d" in gt_doc:
-            p = np.asarray(doc["joints3d"], dtype=np.float64)
-            g = np.asarray(gt_doc["joints3d"], dtype=np.float64)
-            errs = joint_errors(p, g)
-            mpjpe.append(errs["mpjpe"])
-            pa_mpjpe.append(errs["pa_mpjpe"])
-            pred3d.append(p)
-            gt3d.append(g)
-        if "joints2d" in doc and "joints2d" in gt_doc:
-            epe.append(
-                epe_2d(
-                    np.asarray(doc["joints2d"], dtype=np.float64),
-                    np.asarray(gt_doc["joints2d"], dtype=np.float64),
-                )
-            )
-        if "vertices" in doc and "vertices" in gt_doc:
-            p = np.asarray(doc["vertices"], dtype=np.float64)
-            g = np.asarray(gt_doc["vertices"], dtype=np.float64)
-            f5.append(f_score(p, g, 5.0, correspondence="index"))
-            f15.append(f_score(p, g, 15.0, correspondence="index"))
+    gt_by_index = {doc.get("frame_index", i): doc for i, doc in enumerate(read_jsonl(args.gt))}
+    matched = ((doc, gt_by_index.get(doc.get("frame_index", i))) for i, doc in enumerate(pred_docs))
+    pairs = [(doc, gt_doc) for doc, gt_doc in matched if gt_doc is not None]
     report: dict = {"format_version": JSON_FORMAT_VERSION, "n_samples": len(pred_docs)}
-    if mpjpe:
-        report["mpjpe_mm"] = float(np.mean(mpjpe))
-        report["pa_mpjpe_mm"] = float(np.mean(pa_mpjpe))
-        report["pck"] = pck_curve(pred3d, gt3d, np.arange(0.0, 55.0, 5.0))
-    if epe:
-        report["epe_px"] = float(np.mean(epe))
-    if f5:
-        report["f_at_5"] = float(np.mean(f5))
-        report["f_at_15"] = float(np.mean(f15))
-    _write_json(report, args.report)
+    joints3d = _matched(pairs, "joints3d")
+    if joints3d is not None:
+        report.update(summarize(*joints3d))
+    joints2d = _matched(pairs, "joints2d")
+    if joints2d is not None:
+        report["epe_px"] = float(np.mean(epe_2d(*joints2d)))
+    vertices = _matched(pairs, "vertices")
+    if vertices is not None:
+        for mm in (5, 15):
+            report[f"f_at_{mm}"] = float(np.mean([f_score(p, g, mm, correspondence="index") for p, g in zip(*vertices)]))
+    write_json(report, args.report)
     print(f"wrote evaluation report to {args.report}")
     return 0
 
@@ -349,10 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="gate and smooth a frame sequence")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--smooth", default="off", choices=["off", "exponential", "one_euro"])
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--max-hold", type=int, default=30)
+    p.add_argument("--threshold", type=float, default=FilterConfig.threshold)
+    p.add_argument("--smooth", default=SmoothingConfig.mode, choices=SMOOTHING_MODES)
+    p.add_argument("--alpha", type=float, default=SmoothingConfig.alpha)
+    p.add_argument("--max-hold", type=int, default=FilterConfig.max_hold_frames)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("eval", help="evaluate predictions against ground truth")

@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CODEC_FORMAT_VERSION = 1
+from .jsonrecord import JsonRecord
 
 
 @dataclass(frozen=True)
-class CodecConfig:
+class CodecConfig(JsonRecord):
     """Bin layout: net_size pixels quantized at `scale` bins per pixel, with
     Gaussian label smoothing of `sigma_bins` bins."""
 
+    format_version = 1
     net_size: int = 224
     scale: int = 3
     sigma_bins: float = 6.0
@@ -33,26 +34,11 @@ class CodecConfig:
             raise ValueError("scale must be an integer >= 1")
         if self.sigma_bins <= 0:
             raise ValueError("sigma_bins must be positive")
+        object.__setattr__(self, "scale", int(self.scale))
 
     @property
     def n_bins(self) -> int:
-        return self.net_size * int(self.scale)
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": CODEC_FORMAT_VERSION,
-            "net_size": self.net_size,
-            "scale": int(self.scale),
-            "sigma_bins": self.sigma_bins,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CodecConfig":
-        return cls(
-            net_size=int(doc.get("net_size", 224)),
-            scale=int(doc.get("scale", 3)),
-            sigma_bins=float(doc.get("sigma_bins", 6.0)),
-        )
+        return self.net_size * self.scale
 
 
 # exp(-745.1332...) is half the least subnormal double, so exp of anything at

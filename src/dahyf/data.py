@@ -18,6 +18,7 @@ from .camera import WeakCamera, project_points, weak_to_full
 from .confidence import cosine_confidence, normalize_pred, normalize_proj
 from .geometry import PatchSpec, frame_to_patch_abs
 from .hand_model import HandModelParams, HandPose, HandShape, forward_kinematics
+from .jsonrecord import read_json
 from .tempfilter import FrameResult
 
 FREIHAND_SPLITS = ("training", "evaluation")
@@ -50,12 +51,12 @@ def load_freihand_annotations(root: str | Path, split: str = "training") -> list
     xyz_path = root / f"{split}_xyz.json"
     if not k_path.exists() or not xyz_path.exists():
         raise FileNotFoundError(f"missing annotation files under {root}")
-    k_list = json.loads(k_path.read_text(encoding="utf-8"))
-    xyz_list = json.loads(xyz_path.read_text(encoding="utf-8"))
+    k_list = read_json(k_path)
+    xyz_list = read_json(xyz_path)
     verts_list = None
     verts_path = root / f"{split}_verts.json"
     if verts_path.exists():
-        verts_list = json.loads(verts_path.read_text(encoding="utf-8"))
+        verts_list = read_json(verts_path)
 
     if len(k_list) != len(xyz_list):
         raise ValueError("annotation length mismatch")

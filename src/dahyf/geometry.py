@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-SPEC_FORMAT_VERSION = 1
+from .jsonrecord import JsonRecord
 
 
 class RowError(ValueError):
@@ -45,7 +45,7 @@ class RowError(ValueError):
 
 
 @dataclass(frozen=True)
-class PatchSpec:
+class PatchSpec(JsonRecord):
     """Square hand crop tied to its full frame and camera.
 
     `upper_left` is the crop's top-left corner in absolute frame pixels,
@@ -55,6 +55,7 @@ class PatchSpec:
     handling), so direction maps sample mirrored patch columns.
     """
 
+    format_version = 1
     frame_w: int
     frame_h: int
     upper_left: tuple[float, float]
@@ -87,34 +88,6 @@ class PatchSpec:
         """Patch center in absolute frame pixels."""
         half = self.patch_size / 2.0
         return (self.upper_left[0] + half, self.upper_left[1] + half)
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": SPEC_FORMAT_VERSION,
-            "frame_w": self.frame_w,
-            "frame_h": self.frame_h,
-            "upper_left": [self.upper_left[0], self.upper_left[1]],
-            "patch_size": self.patch_size,
-            "net_size": self.net_size,
-            "feat_size": self.feat_size,
-            "focal": self.focal,
-            "handedness": self.handedness,
-            "flipped": self.flipped,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PatchSpec":
-        return cls(
-            frame_w=int(doc["frame_w"]),
-            frame_h=int(doc["frame_h"]),
-            upper_left=(float(doc["upper_left"][0]), float(doc["upper_left"][1])),
-            patch_size=float(doc["patch_size"]),
-            net_size=int(doc.get("net_size", 224)),
-            feat_size=int(doc.get("feat_size", 56)),
-            focal=None if doc.get("focal") is None else float(doc["focal"]),
-            handedness=doc.get("handedness", "right"),
-            flipped=bool(doc.get("flipped", False)),
-        )
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .jsonrecord import read_json
+
 N_KEYPOINTS = 21
 N_ROTATIONS = 16
 N_SHAPE_COEFFS = 10
@@ -370,7 +372,7 @@ def load_model(path: str | Path) -> HandModelParams:
     if not path.exists():
         raise FileNotFoundError(f"hand model file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = read_json(path)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -1,0 +1,108 @@
+"""The one dataclass <-> JSON dict codec, and the one JSON file read/write pair."""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+import types
+import typing
+from pathlib import Path
+
+
+def read_json(path: str | Path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def write_json(doc, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+class JsonRecord:
+    """Base of a dataclass with a JSON form, so each default is stated once.
+
+    `to_dict` writes `format_version` first when the class sets one, then the
+    fields in declaration order, records as dicts and tuples as lists.
+    `from_dict` converts each key by its field's annotation (`float`, `int`,
+    `bool`, `str`, `X | None`, fixed-length tuples, records).  A missing key
+    takes the field's default or raises `KeyError(name)`; an unknown key or a
+    value of the wrong kind raises a ValueError naming the key.
+    """
+
+    format_version: int | None = None  # set, unannotated, by a versioned subclass
+
+    def to_dict(self) -> dict:
+        head, fields, _ = _table(type(self))
+        doc = head.copy()
+        for name in fields:
+            value = getattr(self, name)
+            if isinstance(value, JsonRecord):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            doc[name] = value
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object for {cls.__name__}, got {doc!r}")
+        _, fields, known = _table(cls)
+        if not doc.keys() <= known:
+            raise ValueError(f"unknown key {min(doc.keys() - known)!r} for {cls.__name__}")
+        kwargs = {}
+        for name, (decode, required) in fields.items():
+            if name in doc:
+                try:
+                    kwargs[name] = decode(doc[name])
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from exc
+            elif required:
+                raise KeyError(name)
+        return cls(**kwargs)
+
+
+@functools.cache
+def _table(cls: type) -> tuple[dict, dict, frozenset]:
+    """The class's `format_version` head, {field: (decode, required)} and
+    known keys, built once: resolving annotations costs more than a `to_dict`."""
+    hints = typing.get_type_hints(cls)
+    head = {} if cls.format_version is None else {"format_version": cls.format_version}
+    fields = {f.name: (_decoder(hints[f.name]), f.default is f.default_factory is dataclasses.MISSING)
+              for f in dataclasses.fields(cls)}
+    return head, fields, frozenset(fields) | {"format_version"}
+
+
+def _check(ok: bool, what: str, value):
+    if not ok:
+        raise ValueError(f"expected {what}, got {value!r}")
+    return value
+
+
+_SCALARS = {  # JSON booleans are not numbers, and an integer field takes no fraction
+    float: lambda v: v if type(v) is float else float(
+        _check(isinstance(v, (int, float)) and not isinstance(v, bool), "a number", v)),
+    int: lambda v: v if type(v) is int else int(
+        _check((isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and v.is_integer()),
+               "an integer", v)),
+    bool: lambda v: v if type(v) is bool else _check(isinstance(v, bool), "true or false", v),
+    str: lambda v: v if type(v) is str else _check(isinstance(v, str), "a string", v),
+}
+
+
+def _decoder(tp):
+    """The function giving a field's value from its JSON form."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        decode = _decoder(args[0] if args[1] is type(None) else args[1])
+        return lambda v: None if v is None else decode(v)
+    if typing.get_origin(tp) is tuple:
+        items = tuple(_decoder(a) for a in args)
+        what = f"a list of {len(items)} values"
+        return lambda v: tuple([decode(x) for decode, x in zip(
+            items, _check(isinstance(v, (list, tuple)) and len(v) == len(items), what, v))])
+    if isinstance(tp, type) and issubclass(tp, JsonRecord):
+        return tp.from_dict
+    if tp not in _SCALARS:
+        raise TypeError(f"no JSON form for a field of type {tp!r}")
+    return _SCALARS[tp]

@@ -19,6 +19,8 @@ from .geometry import RowError
 
 MM_PER_M = 1000.0
 
+PCK_THRESHOLDS_MM = tuple(float(t) for t in range(0, 55, 5))
+
 
 @dataclass(frozen=True)
 class AlignmentResult:
@@ -161,3 +163,15 @@ def pck_curve(
         errors.append(np.linalg.norm(p - g, axis=-1) * MM_PER_M)
     pooled = np.concatenate(errors)
     return [(float(t), float(np.mean(pooled <= t))) for t in np.asarray(thresholds_mm, dtype=np.float64)]
+
+
+def summarize(pred3d: np.ndarray, gt3d: np.ndarray) -> dict:
+    """The 3D summary of (T, J, 3) prediction and ground-truth stacks that
+    `dahyf run` reports and `dahyf eval` computes: MPJPE and PA-MPJPE in mm,
+    each the mean over frames, and the PCK curve at PCK_THRESHOLDS_MM."""
+    errs = joint_errors(pred3d, gt3d)
+    return {
+        "mpjpe_mm": float(np.mean(errs["mpjpe"])),
+        "pa_mpjpe_mm": float(np.mean(errs["pa_mpjpe"])),
+        "pck": pck_curve(pred3d, gt3d, np.array(PCK_THRESHOLDS_MM)),
+    }

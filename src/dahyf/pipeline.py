@@ -10,8 +10,6 @@ input ordering.
 
 from __future__ import annotations
 
-import json
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -26,105 +24,48 @@ from .confidence import cosine_confidence, normalize_pred, normalize_proj
 from .data import read_jsonl, write_jsonl
 from .geometry import RowError, SpecColumns, frame_to_patch_abs
 from .hand_model import N_KEYPOINTS, HandModelParams, load_model, posed_joints
-from .metrics import epe_2d, joint_errors, pck_curve
+from .jsonrecord import JsonRecord, read_json, write_json
+from .metrics import epe_2d, summarize
 from .tempfilter import (
     NOT_REPLACED,
     FilterConfig,
     FrameArrays,
     FrameResult,
-    SmoothingConfig,
     gate_arrays,
     smooth_arrays,
 )
 
-CONFIG_FORMAT_VERSION = 1
+CONFIG_FORMAT_VERSION = 2
 REPORT_FORMAT_VERSION = 1
-
-PCK_THRESHOLDS_MM = tuple(float(t) for t in range(0, 55, 5))
-
-SEED_ENV_VAR = "DAHYF_SEED"
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(JsonRecord):
+    format_version = CONFIG_FORMAT_VERSION
     codec: CodecConfig = CodecConfig()
     filter: FilterConfig = FilterConfig()
     model_path: str | None = None          # None -> bundled toy model
     focal_policy: str = "explicit"         # or "sqrt_fallback"
-    pe_octaves: int = 4
-    pooling: str = "mean"
-    negative_target: float = -1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.focal_policy not in ("explicit", "sqrt_fallback"):
             raise ValueError("focal_policy must be 'explicit' or 'sqrt_fallback'")
-        if self.pooling not in ("mean", "max"):
-            raise ValueError("pooling must be 'mean' or 'max'")
-        if self.pe_octaves < 1:
-            raise ValueError("pe_octaves must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": CONFIG_FORMAT_VERSION,
-            "codec": self.codec.to_dict(),
-            "filter": {
-                "threshold": self.filter.threshold,
-                "max_hold_frames": self.filter.max_hold_frames,
-                "smoothing": {
-                    "mode": self.filter.smoothing.mode,
-                    "alpha": self.filter.smoothing.alpha,
-                    "min_cutoff": self.filter.smoothing.min_cutoff,
-                    "beta": self.filter.smoothing.beta,
-                    "d_cutoff": self.filter.smoothing.d_cutoff,
-                },
-            },
-            "model_path": self.model_path,
-            "focal_policy": self.focal_policy,
-            "pe_octaves": self.pe_octaves,
-            "pooling": self.pooling,
-            "negative_target": self.negative_target,
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        filt = doc.get("filter", {})
-        smooth = filt.get("smoothing", {})
-        return cls(
-            codec=CodecConfig.from_dict(doc.get("codec", {})),
-            filter=FilterConfig(
-                threshold=float(filt.get("threshold", 0.5)),
-                max_hold_frames=int(filt.get("max_hold_frames", 30)),
-                smoothing=SmoothingConfig(
-                    mode=smooth.get("mode", "off"),
-                    alpha=float(smooth.get("alpha", 0.5)),
-                    min_cutoff=float(smooth.get("min_cutoff", 1.0)),
-                    beta=float(smooth.get("beta", 0.0)),
-                    d_cutoff=float(smooth.get("d_cutoff", 1.0)),
-                ),
-            ),
-            model_path=doc.get("model_path"),
-            focal_policy=doc.get("focal_policy", "explicit"),
-            pe_octaves=int(doc.get("pe_octaves", 4)),
-            pooling=doc.get("pooling", "mean"),
-            negative_target=float(doc.get("negative_target", -1.0)),
-            seed=int(doc.get("seed", 0)),
-        )
+        # version 1 also held four fields that no stage read; only those are dropped
+        if isinstance(doc, dict) and doc.get("format_version") == 1:
+            doc = {key: value for key, value in doc.items()
+                   if key not in ("pe_octaves", "pooling", "negative_target", "seed")}
+        return super().from_dict(doc)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    return PipelineConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return PipelineConfig.from_dict(read_json(path))
 
 
 def save_config(config: PipelineConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2) + "\n", encoding="utf-8")
-
-
-def effective_seed(config: PipelineConfig) -> int:
-    """Config seed, overridable through the DAHYF_SEED environment variable."""
-    env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env is not None else config.seed
+    write_json(config.to_dict(), path)
 
 
 def _resolve_model(config: PipelineConfig) -> HandModelParams:
@@ -232,7 +173,7 @@ def run_pipeline(
 
     report = _build_report(config, raw, out, specs, pre_uv, post_joints3d, post_uv, gt_path)
     if report_path is not None:
-        Path(report_path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        write_json(report, report_path)
     return report
 
 
@@ -260,18 +201,17 @@ def _build_report(config, raw: FrameArrays, out: FrameArrays, specs, pre_uv, pos
     gt_docs = [gt_by_index[frame_index[t]] for t in rows]
     gt3d = np.array([doc["joints3d"] for doc in gt_docs], dtype=np.float64)
     gt2d = np.array([doc["joints2d"] for doc in gt_docs], dtype=np.float64)
-    pred3d = post_joints3d[rows]
     with _naming_frames(raw.frame_index[rows]):
-        errs = joint_errors(pred3d, gt3d)
+        summary = summarize(post_joints3d[rows], gt3d)
     observed = raw.joints2d[rows]
     reproj_pre = frame_to_patch_abs(pre_uv, specs)[rows]
     reproj_post = frame_to_patch_abs(post_uv, specs)[rows]
     report["metrics"] = {
-        "mpjpe_mm": float(np.mean(errs["mpjpe"])),
-        "pa_mpjpe_mm": float(np.mean(errs["pa_mpjpe"])),
+        "mpjpe_mm": summary["mpjpe_mm"],
+        "pa_mpjpe_mm": summary["pa_mpjpe_mm"],
         "epe_observed_px": float(np.mean(epe_2d(observed, gt2d))),
         "epe_reproj_pre_px": float(np.mean(epe_2d(reproj_pre, gt2d))),
         "epe_reproj_post_px": float(np.mean(epe_2d(reproj_post, gt2d))),
-        "pck": pck_curve(pred3d, gt3d, np.array(PCK_THRESHOLDS_MM)),
+        "pck": summary["pck"],
     }
     return report

@@ -25,6 +25,7 @@ import numpy as np
 from .camera import WeakCamera
 from .geometry import PatchSpec
 from .hand_model import HandPose, HandShape, canonicalize_axis_angle
+from .jsonrecord import JsonRecord
 
 FRAME_FORMAT_VERSION = 1
 
@@ -35,7 +36,7 @@ NOT_REPLACED = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
-class SmoothingConfig:
+class SmoothingConfig(JsonRecord):
     mode: str = "off"
     alpha: float = 0.5            # exponential
     min_cutoff: float = 1.0       # one euro
@@ -52,7 +53,7 @@ class SmoothingConfig:
 
 
 @dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(JsonRecord):
     threshold: float = 0.5
     smoothing: SmoothingConfig = SmoothingConfig()
     max_hold_frames: int = 30

@@ -160,6 +160,25 @@ class TestCliCommands:
         edoc = json.loads(eval_report.read_text())
         assert "mpjpe_mm" in edoc and "epe_px" in edoc
 
+    def test_run_and_eval_agree(self, tmp_path):
+        gt = tmp_path / "gt.jsonl"
+        obs = tmp_path / "obs.jsonl"
+        out = tmp_path / "out.jsonl"
+        report = tmp_path / "report.json"
+        eval_report = tmp_path / "eval.json"
+        assert main([
+            "synth", "--frames", "25", "--noise", "0.5", "--outlier-rate", "0.12",
+            "--seed", "9", "--gt", str(gt), "--out", str(obs),
+        ]) == 0
+        assert main(["run", "--in", str(obs), "--gt", str(gt), "--out", str(out), "--report", str(report)]) == 0
+        assert main(["eval", "--pred", str(out), "--gt", str(gt), "--report", str(eval_report)]) == 0
+        run_metrics = json.loads(report.read_text())["metrics"]
+        eval_metrics = json.loads(eval_report.read_text())
+        for key in ("mpjpe_mm", "pa_mpjpe_mm"):
+            assert eval_metrics[key] == pytest.approx(run_metrics[key], rel=0.0, abs=1e-12)
+        assert np.allclose(eval_metrics["pck"], run_metrics["pck"], rtol=0.0, atol=1e-12)
+        assert len(eval_metrics["pck"]) == len(run_metrics["pck"])
+
     def test_missing_model_file_fails_with_diagnostic(self, tmp_path, capsys):
         pose_file = write_json({"format_version": 1, "pose": np.zeros((16, 3)).tolist()}, tmp_path / "p.json")
         rc = main(["fk", "--model", str(tmp_path / "absent.model"), "--pose", pose_file, "--out", str(tmp_path / "o.json")])

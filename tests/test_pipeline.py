@@ -28,8 +28,6 @@ class TestConfig:
             filter=FilterConfig(threshold=0.4, max_hold_frames=10,
                                 smoothing=SmoothingConfig(mode="one_euro", beta=0.01)),
             focal_policy="sqrt_fallback",
-            pooling="max",
-            seed=77,
         )
         path = tmp_path / "cfg.json"
         save_config(config, path)
@@ -38,8 +36,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(focal_policy="guess")
-        with pytest.raises(ValueError):
-            PipelineConfig(pooling="sum")
 
 
 class TestRunPipeline:
