@@ -70,9 +70,7 @@ from .tempfilter import (
     FrameResult,
     SmoothingConfig,
     gate_arrays,
-    gate_sequence,
     smooth_arrays,
-    smooth_sequence,
 )
 
 __version__ = "0.1.0"

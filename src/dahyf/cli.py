@@ -37,7 +37,7 @@ from .losses import (
 from .jsonrecord import read_json, write_json
 from .metrics import epe_2d, f_score, summarize
 from .pipeline import PipelineConfig, load_config, run_pipeline
-from .tempfilter import SMOOTHING_MODES, FilterConfig, FrameResult, SmoothingConfig, gate_sequence, smooth_sequence
+from .tempfilter import SMOOTHING_MODES, FilterConfig, FrameArrays, SmoothingConfig, gate_arrays, smooth_arrays
 
 JSON_FORMAT_VERSION = 1
 
@@ -140,16 +140,16 @@ def _cmd_confidence(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    frames = [FrameResult.from_dict(doc) for doc in read_jsonl(args.infile)]
+    clip = FrameArrays.from_records(read_jsonl(args.infile))
     cfg = FilterConfig(
         threshold=args.threshold,
         max_hold_frames=args.max_hold,
         smoothing=SmoothingConfig(mode=args.smooth, alpha=args.alpha),
     )
-    out = smooth_sequence(gate_sequence(frames, cfg), cfg)
-    write_jsonl([f.to_dict() for f in out], args.out)
-    replaced = sum(1 for f in out if f.replaced_from is not None)
-    print(f"filtered {len(out)} frames ({replaced} replaced) to {args.out}")
+    records = smooth_arrays(gate_arrays(clip, cfg), cfg).to_records()
+    write_jsonl(records, args.out)
+    replaced = sum(doc["replaced_from"] is not None for doc in records)
+    print(f"filtered {len(records)} frames ({replaced} replaced) to {args.out}")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Data ingestion and synthetic sequence generation.
 
 Sequences are JSONL, one frame record per line.  An observed record is a
-`FrameResult` dict (confidence null until the pipeline computes it); a
+`FrameArrays` row (confidence null until the pipeline computes it); a
 ground-truth record additionally carries the posed 3D joints and an
 `is_outlier` flag naming the frames that were deliberately corrupted.
 """
@@ -9,17 +9,17 @@ ground-truth record additionally carries the posed 3D joints and an
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .camera import WeakCamera, project_points, weak_to_full
 from .confidence import cosine_confidence, normalize_pred, normalize_proj
-from .geometry import PatchSpec, frame_to_patch_abs
-from .hand_model import HandModelParams, HandPose, HandShape, forward_kinematics
+from .geometry import PatchSpec, SpecColumns, frame_to_patch_abs
+from .hand_model import N_ROTATIONS, HandModelParams, HandPose, HandShape, forward_kinematics, posed_joints
 from .jsonrecord import read_json
-from .tempfilter import FrameResult
+from .tempfilter import NOT_REPLACED, FrameArrays
 
 FREIHAND_SPLITS = ("training", "evaluation")
 
@@ -113,15 +113,15 @@ _FOCAL = 800.0
 _PATCH_SIZE = 200.0
 
 
-def _wave_pose(phase: float) -> HandPose:
+def _wave_pose(phase: float) -> np.ndarray:
     """Smooth sinusoidal joint-angle curves: finger curls about x plus a
     gently swaying wrist."""
-    rot = np.zeros((16, 3))
+    rot = np.zeros((N_ROTATIONS, 3))
     rot[0] = [0.1 * np.sin(0.7 * phase), 0.15 * np.sin(0.5 * phase), 0.2 * np.sin(0.6 * phase)]
-    for r in range(1, 16):
+    for r in range(1, N_ROTATIONS):
         rot[r, 0] = 0.35 + 0.25 * np.sin(phase + 0.4 * r)
         rot[r, 2] = 0.05 * np.sin(0.8 * phase + 0.2 * r)
-    return HandPose(rot)
+    return rot
 
 
 def _spec_at(phase: float) -> PatchSpec:
@@ -136,12 +136,9 @@ def _spec_at(phase: float) -> PatchSpec:
     )
 
 
-def _weak_at(phase: float) -> WeakCamera:
-    return WeakCamera(
-        scale=4.0 + 0.4 * np.sin(0.5 * phase + 0.3),
-        tx=0.02 * np.sin(phase / 3.0),
-        ty=-0.1 + 0.02 * np.cos(phase / 3.0),
-    )
+def _weak_at(phase: float) -> tuple[float, float, float]:
+    """The weak camera's (scale, tx, ty)."""
+    return 4.0 + 0.4 * np.sin(0.5 * phase + 0.3), 0.02 * np.sin(phase / 3.0), -0.1 + 0.02 * np.cos(phase / 3.0)
 
 
 def synth_sequence(
@@ -155,11 +152,11 @@ def synth_sequence(
     """Generate a deterministic ground-truth sequence and a noisy observation.
 
     Ground truth follows smooth sinusoidal pose/camera trajectories with 2D
-    joints obtained by projecting the posed skeleton into the moving crop.
-    The observed variant adds seeded Gaussian noise to the 2D joints and, at
-    `outlier_rate`, replaces whole frames with confidence-killing garbage
-    (scrambled joints, randomized pose and camera).  Identical seeds yield
-    bit-identical output.
+    joints obtained by projecting the posed skeleton (all frames in one FK
+    call) into the moving crop.  The observed variant adds seeded Gaussian
+    noise to the 2D joints and, at `outlier_rate`, replaces whole frames
+    with confidence-killing garbage (scrambled joints, randomized pose and
+    camera).  Identical seeds yield bit-identical output.
     """
     if motion not in MOTION_PRESETS:
         raise ValueError(f"unknown motion preset {motion!r}; options: {MOTION_PRESETS}")
@@ -176,48 +173,45 @@ def synth_sequence(
         # frame 0 stays clean so gating always has a donor
         outliers = set(rng.choice(np.arange(1, n_frames), size=min(n_outliers, n_frames - 1), replace=False).tolist())
 
-    gt_records: list[dict] = []
-    obs_records: list[dict] = []
+    phases = [2.0 * np.pi * t / 120.0 for t in range(n_frames)]
+    specs = tuple(_spec_at(phase) for phase in phases)
+    columns = SpecColumns.stack(specs)
+    rotations = np.stack([_wave_pose(phase) if motion == "wave" else np.zeros((N_ROTATIONS, 3)) for phase in phases])
+    betas = np.tile(shape.betas, (n_frames, 1))
+    weak = np.array([_weak_at(phase) for phase in phases])
+    joints3d = posed_joints(model, betas, rotations)
+    joints2d = frame_to_patch_abs(project_points(joints3d, weak_to_full(weak, columns)), columns)
+    gt = FrameArrays(
+        frame_index=np.arange(n_frames, dtype=np.int64), rotations=rotations, betas=betas, weak=weak,
+        joints2d=joints2d, specs=specs, confidence=np.full(n_frames, np.nan),
+        unreliable=np.zeros(n_frames, dtype=bool), replaced_from=np.full(n_frames, NOT_REPLACED),
+    )
+
+    observed_rotations, observed_weak, observed_joints2d = rotations.copy(), weak.copy(), joints2d.copy()
     for t in range(n_frames):
-        phase = 2.0 * np.pi * t / 120.0
-        pose = _wave_pose(phase) if motion == "wave" else HandPose.zeros()
-        spec = _spec_at(phase)
-        weak = _weak_at(phase)
-        joints3d = forward_kinematics(model, shape, pose)
-        frame_uv = project_points(joints3d, weak_to_full(weak, spec))
-        joints2d = frame_to_patch_abs(frame_uv, spec)
-
-        gt_frame = FrameResult(
-            frame_index=t, pose=pose, shape=shape, weak=weak,
-            joints2d=joints2d, spec=spec, confidence=None,
-        )
-        gt_doc = gt_frame.to_dict()
-        gt_doc["joints3d"] = joints3d.tolist()
-        gt_doc["is_outlier"] = t in outliers
-        gt_records.append(gt_doc)
-
         if t in outliers:
-            obs_doc = _corrupt_frame(gt_frame, model, rng).to_dict()
-        else:
-            noisy = joints2d + (rng.normal(0.0, noise_px, size=joints2d.shape) if noise_px > 0 else 0.0)
-            obs_doc = FrameResult(
-                frame_index=t, pose=pose, shape=shape, weak=weak,
-                joints2d=noisy, spec=spec, confidence=None,
-            ).to_dict()
-        obs_records.append(obs_doc)
+            observed_rotations[t], observed_weak[t], observed_joints2d[t] = _corrupt_frame(
+                model, shape, joints2d[t], specs[t], rng)
+        elif noise_px > 0:
+            observed_joints2d[t] += rng.normal(0.0, noise_px, size=joints2d[t].shape)
+    observed = replace(gt, rotations=observed_rotations, weak=observed_weak, joints2d=observed_joints2d)
 
-    return SynthSequence(gt=gt_records, observed=obs_records, outlier_indices=sorted(outliers))
+    gt_records = gt.to_records()
+    for t, (doc, frame_joints3d) in enumerate(zip(gt_records, joints3d.tolist())):
+        doc["joints3d"] = frame_joints3d
+        doc["is_outlier"] = t in outliers
+    return SynthSequence(gt=gt_records, observed=observed.to_records(), outlier_indices=sorted(outliers))
 
 
-def _corrupt_frame(gt_frame: FrameResult, model: HandModelParams, rng) -> FrameResult:
-    """Build a garbage frame whose detected/reprojected joints decorrelate.
+def _corrupt_frame(model: HandModelParams, shape: HandShape, joints2d: np.ndarray, spec: PatchSpec, rng):
+    """Garbage rotations, weak camera and joints2d for one frame, such that
+    its detected and reprojected joints decorrelate.
 
     Resamples (bounded) until the would-be confidence drops below 0.3, so
     seeded outliers are confidence-killing by construction.
     """
-    spec = gt_frame.spec
     for _ in range(50):
-        scrambled = rng.permutation(gt_frame.joints2d) + rng.normal(0.0, 40.0, size=(21, 2))
+        scrambled = rng.permutation(joints2d) + rng.normal(0.0, 40.0, size=(21, 2))
         pose = HandPose(rng.normal(0.0, 0.7, size=(16, 3)))
         weak = WeakCamera(
             scale=float(rng.uniform(2.0, 7.0)),
@@ -225,7 +219,7 @@ def _corrupt_frame(gt_frame: FrameResult, model: HandModelParams, rng) -> FrameR
             ty=float(rng.uniform(-0.4, 0.2)),
         )
         try:
-            joints3d = forward_kinematics(model, gt_frame.shape, pose)
+            joints3d = forward_kinematics(model, shape, pose)
             frame_uv = project_points(joints3d, weak_to_full(weak, spec))
             conf = cosine_confidence(
                 normalize_pred(scrambled, spec), normalize_proj(frame_uv, spec)
@@ -233,8 +227,5 @@ def _corrupt_frame(gt_frame: FrameResult, model: HandModelParams, rng) -> FrameR
         except ValueError:
             continue
         if conf < 0.3:
-            return FrameResult(
-                frame_index=gt_frame.frame_index, pose=pose, shape=gt_frame.shape,
-                weak=weak, joints2d=scrambled, spec=spec, confidence=None,
-            )
+            return pose.rotations, (weak.scale, weak.tx, weak.ty), scrambled
     raise RuntimeError("failed to synthesize a low-confidence outlier frame")

@@ -60,13 +60,12 @@ class HandPose:
             raise ValueError("pose contains non-finite components")
         object.__setattr__(self, "rotations", rot)
 
+    def __eq__(self, other):
+        return isinstance(other, HandPose) and np.array_equal(self.rotations, other.rotations)
+
     @classmethod
     def zeros(cls) -> "HandPose":
         return cls(np.zeros((N_ROTATIONS, 3)))
-
-    def canonicalized(self) -> "HandPose":
-        """Same rotations with every axis-angle magnitude wrapped into [0, pi]."""
-        return HandPose(canonicalize_axis_angle(self.rotations))
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,9 @@ class HandShape:
         if not np.all(np.isfinite(b)):
             raise ValueError("shape contains non-finite coefficients")
         object.__setattr__(self, "betas", b)
+
+    def __eq__(self, other):
+        return isinstance(other, HandShape) and np.array_equal(self.betas, other.betas)
 
     @classmethod
     def zeros(cls) -> "HandShape":

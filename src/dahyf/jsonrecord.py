@@ -25,8 +25,9 @@ class JsonRecord:
     fields in declaration order, records as dicts and tuples as lists.
     `from_dict` converts each key by its field's annotation (`float`, `int`,
     `bool`, `str`, `X | None`, fixed-length tuples, records).  A missing key
-    takes the field's default or raises `KeyError(name)`; an unknown key or a
-    value of the wrong kind raises a ValueError naming the key.
+    takes the field's default or raises a KeyError; an unknown key or a value
+    of the wrong kind raises a ValueError.  Each names the key by its dotted
+    path, such as `weak.tx` inside a nested record.
     """
 
     format_version: int | None = None  # set, unannotated, by a versioned subclass
@@ -55,11 +56,23 @@ class JsonRecord:
             if name in doc:
                 try:
                     kwargs[name] = decode(doc[name])
+                except KeyError as exc:  # a missing key inside a nested record
+                    raise KeyError(f"{name}.{exc.args[0]}") from exc
+                except FieldError as exc:
+                    raise FieldError(f"{name}.{exc.path}", exc.message) from exc
                 except ValueError as exc:
-                    raise ValueError(f"{name}: {exc}") from exc
+                    raise FieldError(name, str(exc)) from exc
             elif required:
                 raise KeyError(name)
         return cls(**kwargs)
+
+
+class FieldError(ValueError):
+    """A value that failed to convert, named by its field's dotted path."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path, self.message = path, message
 
 
 @functools.cache

@@ -1,11 +1,10 @@
 """Pipeline composition: per-frame decode -> FK -> projection -> confidence,
 then sequence-level gating and smoothing, with metrics against ground truth.
 
-Input records are parsed into `FrameResult`s; from there the clip is one
-`FrameArrays` struct of (T, …) arrays, so each per-frame stage runs once
-over the whole clip, gating and smoothing run on the arrays, and the output
-records are written straight from them.  Output ordering always matches
-input ordering.
+Input records are parsed straight into one `FrameArrays` struct of (T, …)
+arrays, so each per-frame stage runs once over the whole clip, gating and
+smoothing run on the arrays, and the output records are written straight
+from them.  Output ordering always matches input ordering.
 """
 
 from __future__ import annotations
@@ -26,14 +25,7 @@ from .geometry import RowError, SpecColumns, frame_to_patch_abs
 from .hand_model import N_KEYPOINTS, HandModelParams, load_model, posed_joints
 from .jsonrecord import JsonRecord, read_json, write_json
 from .metrics import epe_2d, summarize
-from .tempfilter import (
-    NOT_REPLACED,
-    FilterConfig,
-    FrameArrays,
-    FrameResult,
-    gate_arrays,
-    smooth_arrays,
-)
+from .tempfilter import NOT_REPLACED, FilterConfig, FrameArrays, gate_arrays, smooth_arrays
 
 CONFIG_FORMAT_VERSION = 2
 REPORT_FORMAT_VERSION = 1
@@ -74,36 +66,35 @@ def _resolve_model(config: PipelineConfig) -> HandModelParams:
     return load_model(config.model_path)
 
 
-def _apply_focal_policy(frame: FrameResult, config: PipelineConfig) -> FrameResult:
-    """Resolve the focal policy by rewriting the frame's spec.
-
+def _read_clip(in_path: Path, config: PipelineConfig) -> FrameArrays:
+    """Read the input records into one clip.  A record that names a logits
+    file takes its joints from it (every file decoded through one buffer),
+    in place of any `joints2d` it holds.  Then the focal policy applies:
     'sqrt_fallback' drops any explicit focal so every downstream consumer
-    picks up the sqrt(W^2 + H^2) default; 'explicit' demands one.
-    """
-    spec = frame.spec
-    if config.focal_policy == "sqrt_fallback":
-        if spec.focal is None:
-            return frame
-        return replace(frame, spec=replace(spec, focal=None))
-    if spec.focal is None:
-        raise ValueError("focal_policy 'explicit' requires a focal in the spec")
-    return frame
-
-
-def _read_frame(
-    doc: dict, position: int, config: PipelineConfig, in_dir: Path, logits_buf: np.ndarray
-) -> FrameResult:
-    """Parse one input record and apply the focal policy; a record with a
-    logits file gets the joints decoded from it, through `logits_buf`."""
+    picks up the sqrt(W^2 + H^2) default, 'explicit' demands one.  A bad
+    record fails naming its frame."""
+    docs = read_jsonl(in_path)
+    if not docs:
+        raise ValueError(f"no frames in {in_path}")
+    logits_buf = np.empty((N_KEYPOINTS, 2, config.codec.n_bins))
+    for t, doc in enumerate(docs):
+        if isinstance(doc, dict) and doc.get("logits_file"):
+            try:
+                logits = read_coord_array(in_path.parent / doc["logits_file"], out=logits_buf)
+                joints2d = decode_soft_argmax(logits, config.codec, scratch=logits)
+            except (ValueError, TypeError, OSError) as exc:
+                raise RuntimeError(f"frame {doc.get('frame_index', t)}: {exc}") from exc
+            docs[t] = {**doc, "joints2d": joints2d.tolist()}
     try:
-        if doc.get("logits_file"):
-            logits = read_coord_array(in_dir / doc["logits_file"], out=logits_buf)
-            doc = {**doc, "joints2d": decode_soft_argmax(logits, config.codec, scratch=logits)}
-        frame = _apply_focal_policy(FrameResult.from_dict(doc), config)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise RuntimeError(f"frame {doc.get('frame_index', position)}: {detail}") from exc
-    return frame
+        clip = FrameArrays.from_records(docs)
+    except ValueError as exc:
+        raise RuntimeError(str(exc)) from exc
+    if config.focal_policy == "sqrt_fallback":
+        return replace(clip, specs=tuple(spec if spec.focal is None else replace(spec, focal=None)
+                                         for spec in clip.specs))
+    with _naming_frames(clip.frame_index):
+        RowError.check([s.focal is None for s in clip.specs], "focal_policy 'explicit' requires a focal in the spec")
+    return clip
 
 
 @contextmanager
@@ -150,13 +141,7 @@ def run_pipeline(
     file of the clip is read and decoded through one buffer.
     """
     model = _resolve_model(config)
-    raw_docs = read_jsonl(in_path)
-    if not raw_docs:
-        raise ValueError(f"no frames in {in_path}")
-
-    logits_buf = np.empty((N_KEYPOINTS, 2, config.codec.n_bins))
-    in_dir = Path(in_path).parent
-    raw = FrameArrays.from_frames([_read_frame(doc, i, config, in_dir, logits_buf) for i, doc in enumerate(raw_docs)])
+    raw = _read_clip(Path(in_path), config)
     specs = SpecColumns.stack(raw.specs)
     pre_joints3d, pre_uv = _reproject(model, raw.frame_index, raw.betas, raw.rotations, raw.weak, specs)
     with _naming_frames(raw.frame_index):

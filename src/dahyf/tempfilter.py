@@ -8,23 +8,22 @@ value untouched.  Smoothing then runs per scalar channel over the gated
 sequence; pose axis-angles are canonicalized to [0, pi] magnitude first so
 the filter never sees 2-pi representation jumps.
 
-A clip goes through the filter as a `FrameArrays` struct of (T, …)
-arrays (`gate_arrays`, `smooth_arrays`).  `gate_sequence` and
-`smooth_sequence` run the same functions on a list of `FrameResult`
-records, for callers that hold records.
+A clip is one `FrameArrays` struct of (T, …) arrays: `from_records` parses
+the JSON frame records into it, `gate_arrays` and `smooth_arrays` filter it
+and `to_records` writes it back.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from .camera import WeakCamera
 from .geometry import PatchSpec
-from .hand_model import HandPose, HandShape, canonicalize_axis_angle
+from .hand_model import N_KEYPOINTS, N_ROTATIONS, N_SHAPE_COEFFS, HandPose, HandShape, canonicalize_axis_angle
 from .jsonrecord import JsonRecord
 
 FRAME_FORMAT_VERSION = 1
@@ -67,9 +66,28 @@ class FilterConfig(JsonRecord):
 
 
 @dataclass(frozen=True)
+class _Scalars(JsonRecord):
+    """The fields of a frame record other than its arrays."""
+
+    frame_index: int
+    weak: WeakCamera
+    spec: PatchSpec
+    confidence: float | None = None
+    unreliable: bool = False
+    replaced_from: int | None = None
+
+    def __post_init__(self):
+        if self.confidence is not None and not -1.0 <= self.confidence <= 1.0:
+            raise ValueError("confidence must lie in [-1, 1]")
+
+
+_SCALAR_KEYS = tuple(field.name for field in fields(_Scalars))
+
+
+@dataclass(frozen=True)
 class FrameResult:
-    """One frame's motion-capture record, as read and written; a clip goes
-    through the filter as `FrameArrays`."""
+    """One frame's motion-capture record, for callers that build records
+    one by one; a clip is parsed, filtered and written as `FrameArrays`."""
 
     frame_index: int
     pose: HandPose
@@ -91,91 +109,103 @@ class FrameResult:
             raise ValueError("confidence must lie in [-1, 1]")
         object.__setattr__(self, "joints2d", pts)
 
+    def __eq__(self, other):
+        return isinstance(other, FrameResult) and self.to_dict() == other.to_dict()
+
     def to_dict(self) -> dict:
-        return frame_record(
-            self.frame_index, self.pose.rotations.tolist(), self.shape.betas.tolist(),
-            (self.weak.scale, self.weak.tx, self.weak.ty), self.joints2d.tolist(), self.spec.to_dict(),
-            self.confidence, self.unreliable, self.replaced_from,
-        )
+        """The record as `FrameArrays.to_records` writes it."""
+        return FrameArrays(
+            np.array([self.frame_index]), self.pose.rotations[None], self.shape.betas[None],
+            np.array([(self.weak.scale, self.weak.tx, self.weak.ty)]), self.joints2d[None], (self.spec,),
+            np.array([math.nan if self.confidence is None else self.confidence]), np.array([self.unreliable]),
+            np.array([NOT_REPLACED if self.replaced_from is None else self.replaced_from]),
+        ).to_records()[0]
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FrameResult":
-        return cls(
-            frame_index=int(doc["frame_index"]),
-            pose=HandPose(np.asarray(doc["pose"], dtype=np.float64)),
-            shape=HandShape(np.asarray(doc["shape"], dtype=np.float64)),
-            weak=WeakCamera.from_dict(doc["weak"]),
-            joints2d=np.asarray(doc["joints2d"], dtype=np.float64),
-            spec=PatchSpec.from_dict(doc["spec"]),
-            confidence=None if doc.get("confidence") is None else float(doc["confidence"]),
-            unreliable=bool(doc.get("unreliable", False)),
-            replaced_from=None if doc.get("replaced_from") is None else int(doc["replaced_from"]),
-        )
-
-
-def frame_record(frame_index, pose, shape, weak, joints2d, spec, confidence, unreliable, replaced_from) -> dict:
-    """The JSON layout of one frame record, shared by `FrameResult.to_dict`
-    and `FrameArrays.to_records`.  Arrays come as nested lists, `weak` as a
-    (scale, tx, ty) triple and `spec` as its dict."""
-    scale, tx, ty = weak
-    return {
-        "format_version": FRAME_FORMAT_VERSION,
-        "frame_index": frame_index,
-        "pose": pose,
-        "shape": shape,
-        "weak": {"scale": scale, "tx": tx, "ty": ty},
-        "joints2d": joints2d,
-        "spec": spec,
-        "confidence": confidence,
-        "unreliable": unreliable,
-        "replaced_from": replaced_from,
-    }
+        """One record through `FrameArrays.from_records`."""
+        row = FrameArrays.from_records([doc])
+        confidence, donor = row.confidence.item(), row.replaced_from.item()
+        return cls(row.frame_index.item(), HandPose(row.rotations[0]), HandShape(row.betas[0]),
+                   WeakCamera(*row.weak[0].tolist()), row.joints2d[0], row.specs[0],
+                   None if math.isnan(confidence) else confidence, row.unreliable.item(),
+                   None if donor == NOT_REPLACED else donor)
 
 
 @dataclass(frozen=True)
 class FrameArrays:
     """A clip's frame records as (T, …) arrays, row t for frame t: the form
-    a clip takes through gating and smoothing.  `confidence` is NaN where a
-    frame has none and `replaced_from` is NOT_REPLACED where a frame kept
-    its own parameters."""
+    a clip takes from parsing through gating and smoothing to writing.
+    `confidence` is NaN where a frame has none and `replaced_from` is
+    NOT_REPLACED where a frame kept its own parameters."""
 
     frame_index: np.ndarray    # (T,) int64
     rotations: np.ndarray      # (T, 16, 3) axis-angle radians
     betas: np.ndarray          # (T, 10)
     weak: np.ndarray           # (T, 3) rows of (scale, tx, ty)
-    joints2d: np.ndarray       # (T, K, 2) patch pixels
+    joints2d: np.ndarray       # (T, 21, 2) patch pixels
     specs: tuple[PatchSpec, ...]
     confidence: np.ndarray     # (T,)
     unreliable: np.ndarray     # (T,) bool
     replaced_from: np.ndarray  # (T,) int64
 
     @classmethod
-    def from_frames(cls, frames: Sequence[FrameResult]) -> "FrameArrays":
-        if len(frames) == 0:
+    def from_records(cls, docs: Sequence[dict]) -> "FrameArrays":
+        """Parse frame records, as `to_records` writes them, into columns.
+
+        Scalars follow the `JsonRecord` rules, `weak` and `spec` parse as
+        records, and `pose`, `shape` and `joints2d` must be nested lists of
+        finite JSON numbers.  Other keys are ignored.  The first bad record
+        fails as `frame N: <field.path>: …`.
+        """
+        if len(docs) == 0:
             raise ValueError("sequence must contain at least one frame")
+        try:
+            return cls._parse(docs)
+        except (ValueError, KeyError, OverflowError):
+            # every check is per record, so parsing them one by one finds the first bad one
+            for t, doc in enumerate(docs):
+                try:
+                    cls._parse([doc])
+                except (ValueError, KeyError, OverflowError) as exc:
+                    label = doc.get("frame_index", t) if isinstance(doc, dict) else t
+                    detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                    raise ValueError(f"frame {label}: {detail}") from exc
+            raise
+
+    @classmethod
+    def _parse(cls, docs: Sequence[dict]) -> "FrameArrays":
+        for doc in docs:
+            if not isinstance(doc, dict):
+                raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        rows = [_Scalars.from_dict({key: doc[key] for key in _SCALAR_KEYS if key in doc}) for doc in docs]
         return cls(
-            frame_index=np.array([f.frame_index for f in frames], dtype=np.int64),
-            rotations=np.stack([f.pose.rotations for f in frames]),
-            betas=np.stack([f.shape.betas for f in frames]),
-            weak=np.array([(f.weak.scale, f.weak.tx, f.weak.ty) for f in frames], dtype=np.float64),
-            joints2d=np.stack([f.joints2d for f in frames]),
-            specs=tuple(f.spec for f in frames),
-            confidence=np.array([np.nan if f.confidence is None else f.confidence for f in frames]),
-            unreliable=np.array([f.unreliable for f in frames], dtype=bool),
-            replaced_from=np.array([NOT_REPLACED if f.replaced_from is None else f.replaced_from for f in frames],
-                                   dtype=np.int64),
+            frame_index=np.array([row.frame_index for row in rows], dtype=np.int64),
+            rotations=_numbers([doc["pose"] for doc in docs], (N_ROTATIONS, 3), "pose"),
+            betas=_numbers([doc["shape"] for doc in docs], (N_SHAPE_COEFFS,), "shape"),
+            weak=np.array([(row.weak.scale, row.weak.tx, row.weak.ty) for row in rows], dtype=np.float64),
+            joints2d=_numbers([doc["joints2d"] for doc in docs], (N_KEYPOINTS, 2), "joints2d"),
+            specs=tuple(row.spec for row in rows),
+            confidence=np.array([math.nan if row.confidence is None else row.confidence for row in rows]),
+            unreliable=np.array([row.unreliable for row in rows], dtype=bool),
+            replaced_from=np.array([NOT_REPLACED if row.replaced_from is None else row.replaced_from
+                                    for row in rows], dtype=np.int64),
         )
 
     def to_records(self) -> list[dict]:
-        """One `frame_record` per row, as `FrameResult.to_dict` writes it."""
+        """One JSON frame record per row: arrays as nested lists, `weak` as
+        {scale, tx, ty} and `spec` as its record."""
         confidence = [None if math.isnan(c) else c for c in self.confidence.tolist()]
         replaced_from = [None if r == NOT_REPLACED else r for r in self.replaced_from.tolist()]
         return [
-            frame_record(*row)
-            for row in zip(
+            {
+                "format_version": FRAME_FORMAT_VERSION, "frame_index": index, "pose": pose, "shape": shape,
+                "weak": {"scale": scale, "tx": tx, "ty": ty}, "joints2d": joints2d, "spec": spec.to_dict(),
+                "confidence": c, "unreliable": unreliable, "replaced_from": donor,
+            }
+            for index, pose, shape, (scale, tx, ty), joints2d, spec, c, unreliable, donor in zip(
                 self.frame_index.tolist(), self.rotations.tolist(), self.betas.tolist(), self.weak.tolist(),
-                self.joints2d.tolist(), (spec.to_dict() for spec in self.specs), confidence,
-                self.unreliable.tolist(), replaced_from,
+                self.joints2d.tolist(), self.specs, confidence, self.unreliable.tolist(), replaced_from,
             )
         ]
 
@@ -190,6 +220,21 @@ def _rows_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per row of two (T, …) float64 stacks, whether any element differs in
     any bit (so -0.0 differs from 0.0)."""
     return (a.view(np.uint64) != b.view(np.uint64)).reshape(len(a), -1).any(axis=1)
+
+
+def _numbers(values: list, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """The (len(values), *shape) float64 array of `values`, nested lists of
+    finite JSON numbers; unlike `np.array`, it refuses strings and booleans."""
+    cells = np.array(values, dtype=object)  # ragged lists stop the shape early, at lists
+    if cells.shape[1:] != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {cells.shape[1:]}")
+    flat = cells.ravel().tolist()
+    if not set(map(type, flat)) <= {float, int}:
+        raise ValueError(f"{name}: expected a number, got {next(v for v in flat if type(v) not in (float, int))!r}")
+    out = cells.astype(np.float64)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} contains non-finite values")
+    return out
 
 
 def _check_indices(frame_index: np.ndarray) -> None:
@@ -263,41 +308,3 @@ def smooth_arrays(clip: FrameArrays, cfg: FilterConfig) -> FrameArrays:
             a = _exp_alpha(smoothing.min_cutoff + smoothing.beta * np.abs(dx_hat), dt)
             state[t] = a * x + (1.0 - a) * x_prev
     return replace(clip, rotations=state[:, :48].reshape(n, 16, 3), betas=state[:, 48:58], weak=state[:, 58:])
-
-
-def _as_frames(frames: Sequence[FrameResult], before: FrameArrays, after: FrameArrays) -> list[FrameResult]:
-    """`frames` carrying the rows of `after`; a field whose row is the same
-    in `before` and `after`, bit for bit, keeps the frame's own object."""
-    new_pose = _rows_differ(before.rotations, after.rotations)
-    new_shape = _rows_differ(before.betas, after.betas)
-    new_weak = _rows_differ(before.weak, after.weak)
-    new_flags = (before.unreliable != after.unreliable) | (before.replaced_from != after.replaced_from)
-    out = []
-    for t, frame in enumerate(frames):
-        changes = {}
-        if new_pose[t]:
-            changes["pose"] = HandPose(after.rotations[t])
-        if new_shape[t]:
-            changes["shape"] = HandShape(after.betas[t])
-        if new_weak[t]:
-            changes["weak"] = WeakCamera(*after.weak[t].tolist())
-        if new_flags[t]:
-            donor = int(after.replaced_from[t])
-            changes["unreliable"] = bool(after.unreliable[t])
-            changes["replaced_from"] = None if donor == NOT_REPLACED else donor
-        out.append(replace(frame, **changes) if changes else frame)
-    return out
-
-
-def gate_sequence(frames: Sequence[FrameResult], cfg: FilterConfig) -> list[FrameResult]:
-    """`gate_arrays` over a list of records; a record the gate leaves
-    unchanged comes back as the same object."""
-    clip = FrameArrays.from_frames(frames)
-    return _as_frames(frames, clip, gate_arrays(clip, cfg))
-
-
-def smooth_sequence(frames: Sequence[FrameResult], cfg: FilterConfig) -> list[FrameResult]:
-    """`smooth_arrays` over a list of records; a record the filter leaves
-    unchanged comes back as the same object."""
-    clip = FrameArrays.from_frames(frames)
-    return _as_frames(frames, clip, smooth_arrays(clip, cfg))

@@ -7,6 +7,7 @@ codec replaced; they must not be changed to follow the codec.
 """
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from dahyf.codec import CodecConfig
 from dahyf.data import synth_sequence, write_jsonl
 from dahyf.geometry import PatchSpec
 from dahyf.hand_model import HandPose, HandShape
-from dahyf.jsonrecord import read_json, write_json
+from dahyf.jsonrecord import JsonRecord, read_json, write_json
 from dahyf.pipeline import PipelineConfig, load_config, run_pipeline
 from dahyf.tempfilter import SMOOTHING_MODES, FilterConfig, FrameResult, SmoothingConfig
 
@@ -131,6 +132,11 @@ def test_frame_layout_matches_the_hand_written_one(spec, camera, seed, confidenc
     assert json.dumps(frame.to_dict()) == json.dumps(reference_frame_dict(frame))
 
 
+@dataclass(frozen=True)
+class Placed(JsonRecord):
+    weak: WeakCamera
+
+
 def spec_doc(**changes) -> dict:
     return {**PatchSpec(640, 480, (100.0, 50.0), 200.0, focal=800.0).to_dict(), **changes}
 
@@ -169,6 +175,12 @@ class TestStrictConversion:
         with pytest.raises(KeyError, match="patch_size"):
             PatchSpec.from_dict(doc)
 
+    def test_nested_failure_keeps_its_path(self):
+        with pytest.raises(KeyError, match=r"weak\.tx"):
+            Placed.from_dict({"weak": {"scale": 4.0, "ty": 0.0}})
+        with pytest.raises(ValueError, match=r"^filter\.smoothing\.alpha: expected a number, got '0\.5'$"):
+            PipelineConfig.from_dict({"filter": {"smoothing": {"alpha": "0.5"}}})
+
     def test_missing_optional_key_takes_the_default(self):
         doc = spec_doc()
         del doc["feat_size"], doc["format_version"]
@@ -178,7 +190,7 @@ class TestStrictConversion:
         docs = synth_sequence(toy_model, 3, seed=1).observed
         docs[1]["spec"]["flipped"] = "false"
         write_jsonl(docs, tmp_path / "obs.jsonl")
-        with pytest.raises(RuntimeError, match="frame 1: flipped"):
+        with pytest.raises(RuntimeError, match=r"frame 1: spec\.flipped: expected true or false"):
             run_pipeline(PipelineConfig(), tmp_path / "obs.jsonl", tmp_path / "out.jsonl")
 
 

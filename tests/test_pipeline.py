@@ -141,6 +141,28 @@ class TestRunPipeline:
         with pytest.raises(RuntimeError, match="frame 2: missing field 'weak'"):
             run_pipeline(PipelineConfig(), obs, tmp_path / "out.jsonl")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {**doc, "unreliable": "false"}, "frame 2: unreliable: expected true or false, got 'false'"),
+        (lambda doc: {**doc, "frame_index": 2.9}, r"frame 2\.9: frame_index: expected an integer, got 2\.9"),
+        (lambda doc: {**doc, "replaced_from": 1.5}, r"frame 2: replaced_from: expected an integer, got 1\.5"),
+        (lambda doc: {**doc, "confidence": "0.5"}, r"frame 2: confidence: expected a number, got '0\.5'"),
+        (lambda doc: {**doc, "pose": [*doc["pose"][:3], [0.0, "0.25", 0.0], *doc["pose"][4:]]},
+         r"frame 2: pose: expected a number, got '0\.25'"),
+        (lambda doc: {**doc, "pose": [*doc["pose"][:3], [0.0, True, 0.0], *doc["pose"][4:]]},
+         "frame 2: pose: expected a number, got True"),
+        (lambda doc: {**doc, "joints2d": doc["joints2d"][:20]},
+         r"frame 2: joints2d must have shape \(21, 2\), got \(20, 2\)"),
+        (lambda doc: {**doc, "weak": {"scale": 4.0, "ty": 0.0}}, r"frame 2: missing field 'weak\.tx'"),
+        (lambda doc: list(doc), "frame 2: expected a JSON object, got list"),
+    ], ids=["string_flag", "fractional_index", "fractional_donor", "string_confidence", "string_in_pose",
+            "boolean_in_pose", "short_joints2d", "missing_nested_key", "not_an_object"])
+    def test_bad_record_names_frame_and_field(self, toy_model, tmp_path, edit, message):
+        docs = synth_sequence(toy_model, 4, seed=1).observed
+        docs[2] = edit(docs[2])
+        write_jsonl(docs, tmp_path / "obs.jsonl")
+        with pytest.raises(RuntimeError, match=message):
+            run_pipeline(PipelineConfig(), tmp_path / "obs.jsonl", tmp_path / "out.jsonl")
+
     def test_missing_model_path(self, clean_sequence, tmp_path):
         _, obs = clean_sequence
         config = PipelineConfig(model_path=str(tmp_path / "nowhere.model"))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from dahyf.camera import WeakCamera
 from dahyf.geometry import PatchSpec
 from dahyf.hand_model import HandPose, HandShape
 from dahyf.tempfilter import (
+    NOT_REPLACED,
     FilterConfig,
+    FrameArrays,
     FrameResult,
     SmoothingConfig,
-    gate_sequence,
-    smooth_sequence,
+    gate_arrays,
+    smooth_arrays,
 )
 
 
@@ -25,6 +29,10 @@ def make_frame(index, confidence, tx=0.0, pose_angle=0.1):
         spec=PatchSpec(640, 480, (100.0, 50.0), 200.0, focal=800.0),
         confidence=confidence,
     )
+
+
+def clip(frames) -> FrameArrays:
+    return FrameArrays.from_records([f.to_dict() for f in frames])
 
 
 class TestFrameSerialization:
@@ -48,103 +56,111 @@ class TestFrameSerialization:
         with pytest.raises(ValueError, match="joints2d contains non-finite values"):
             FrameResult.from_dict(doc)
 
+    def test_records_compare_by_value(self):
+        assert HandPose(np.zeros((16, 3))) == HandPose(np.zeros((16, 3)))
+        assert HandShape(np.zeros(10)) == HandShape.zeros() != HandShape(np.ones(10))
+        frame = make_frame(2, 0.5, tx=0.25)
+        again = FrameResult.from_dict(frame.to_dict())  # equal values in distinct arrays
+        assert again == frame and again.pose == frame.pose and again.shape == frame.shape
+        assert make_frame(2, 0.5, tx=0.5) != frame
+        assert replace(frame, joints2d=frame.joints2d + 1.0) != frame
+
 
 class TestGate:
     def test_single_dropout_takes_previous(self):
-        frames = [make_frame(0, 0.9, tx=0.0), make_frame(1, 0.3, tx=0.5), make_frame(2, 0.95, tx=0.9)]
-        out = gate_sequence(frames, FilterConfig(threshold=0.5))
-        assert out[1].weak == frames[0].weak
-        assert out[1].replaced_from == 0
-        assert out[1].confidence == 0.3  # confidence itself is never rewritten
-        np.testing.assert_array_equal(out[1].joints2d, frames[1].joints2d)
-        assert out[0] == frames[0] and out[2] == frames[2]
+        frames = clip([make_frame(0, 0.9, tx=0.0), make_frame(1, 0.3, tx=0.5), make_frame(2, 0.95, tx=0.9)])
+        out = gate_arrays(frames, FilterConfig(threshold=0.5))
+        assert out.weak[1].tolist() == frames.weak[0].tolist()
+        assert out.replaced_from[1] == 0
+        assert out.confidence[1] == 0.3  # confidence itself is never rewritten
+        np.testing.assert_array_equal(out.joints2d[1], frames.joints2d[1])
+        records, before = out.to_records(), frames.to_records()
+        assert records[0] == before[0] and records[2] == before[2]
 
     def test_all_confident_is_identity(self):
-        frames = [make_frame(i, 0.8) for i in range(5)]
-        assert gate_sequence(frames, FilterConfig(threshold=0.5)) == frames
+        frames = clip([make_frame(i, 0.8) for i in range(5)])
+        assert gate_arrays(frames, FilterConfig(threshold=0.5)).to_records() == frames.to_records()
 
     def test_leading_dropout_marked_unreliable(self):
-        frames = [make_frame(0, 0.1), make_frame(1, 0.9)]
-        out = gate_sequence(frames, FilterConfig(threshold=0.5))
-        assert out[0].unreliable and out[0].replaced_from is None
-        assert out[0].pose == frames[0].pose
+        frames = clip([make_frame(0, 0.1), make_frame(1, 0.9)])
+        out = gate_arrays(frames, FilterConfig(threshold=0.5))
+        assert out.unreliable[0] and out.replaced_from[0] == NOT_REPLACED
+        np.testing.assert_array_equal(out.rotations[0], frames.rotations[0])
 
     def test_hold_expires(self):
-        frames = [make_frame(0, 0.9)] + [make_frame(i, 0.0) for i in range(1, 6)]
-        out = gate_sequence(frames, FilterConfig(threshold=0.5, max_hold_frames=3))
-        assert [f.replaced_from for f in out[1:4]] == [0, 0, 0]
-        assert out[4].unreliable and out[5].unreliable
+        frames = clip([make_frame(0, 0.9)] + [make_frame(i, 0.0) for i in range(1, 6)])
+        out = gate_arrays(frames, FilterConfig(threshold=0.5, max_hold_frames=3))
+        assert out.replaced_from[1:4].tolist() == [0, 0, 0]
+        assert out.unreliable[4] and out.unreliable[5]
 
     def test_idempotent(self):
-        frames = [make_frame(0, 0.9), make_frame(1, 0.2), make_frame(2, 0.1), make_frame(3, 0.7)]
+        frames = clip([make_frame(0, 0.9), make_frame(1, 0.2), make_frame(2, 0.1), make_frame(3, 0.7)])
         cfg = FilterConfig(threshold=0.5)
-        once = gate_sequence(frames, cfg)
-        twice = gate_sequence(once, cfg)
-        assert once == twice
+        once = gate_arrays(frames, cfg)
+        twice = gate_arrays(once, cfg)
+        assert once.to_records() == twice.to_records()
 
     def test_threshold_minus_one_is_identity(self):
-        frames = [make_frame(0, -0.9), make_frame(1, 0.0)]
-        assert gate_sequence(frames, FilterConfig(threshold=-1.0)) == frames
+        frames = clip([make_frame(0, -0.9), make_frame(1, 0.0)])
+        assert gate_arrays(frames, FilterConfig(threshold=-1.0)).to_records() == frames.to_records()
 
     def test_requires_confidence(self):
-        frame = make_frame(0, None)
+        frames = clip([make_frame(0, None)])
         with pytest.raises(ValueError, match="confidence"):
-            gate_sequence([frame], FilterConfig())
+            gate_arrays(frames, FilterConfig())
 
     def test_ordering_validated(self):
-        frames = [make_frame(1, 0.9), make_frame(0, 0.9)]
+        frames = clip([make_frame(1, 0.9), make_frame(0, 0.9)])
         with pytest.raises(ValueError, match="increasing"):
-            gate_sequence(frames, FilterConfig())
+            gate_arrays(frames, FilterConfig())
         with pytest.raises(ValueError):
-            gate_sequence([], FilterConfig())
+            FrameArrays.from_records([])
 
 
 class TestSmoothing:
     def test_constant_sequence_fixed_point(self):
-        frames = [make_frame(i, 0.9, tx=0.3) for i in range(6)]
+        frames = clip([make_frame(i, 0.9, tx=0.3) for i in range(6)])
         for mode in ("exponential", "one_euro"):
             cfg = FilterConfig(smoothing=SmoothingConfig(mode=mode, alpha=0.4))
-            out = smooth_sequence(frames, cfg)
-            for f in out:
-                assert f.weak.tx == pytest.approx(0.3, abs=1e-12)
-                np.testing.assert_allclose(f.pose.rotations, frames[0].pose.rotations, atol=1e-12)
+            out = smooth_arrays(frames, cfg)
+            np.testing.assert_allclose(out.weak[:, 1], 0.3, atol=1e-12)
+            np.testing.assert_allclose(out.rotations, np.broadcast_to(frames.rotations[0], out.rotations.shape),
+                                       atol=1e-12)
 
     def test_alpha_one_is_identity(self):
-        frames = [make_frame(i, 0.9, tx=float(i)) for i in range(4)]
-        out = smooth_sequence(frames, FilterConfig(smoothing=SmoothingConfig(mode="exponential", alpha=1.0)))
-        assert [f.weak.tx for f in out] == [0.0, 1.0, 2.0, 3.0]
+        frames = clip([make_frame(i, 0.9, tx=float(i)) for i in range(4)])
+        out = smooth_arrays(frames, FilterConfig(smoothing=SmoothingConfig(mode="exponential", alpha=1.0)))
+        assert out.weak[:, 1].tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_step_response_unrolled(self):
-        frames = [make_frame(0, 0.9, tx=0.0)] + [make_frame(i, 0.9, tx=1.0) for i in range(1, 5)]
-        out = smooth_sequence(frames, FilterConfig(smoothing=SmoothingConfig(mode="exponential", alpha=0.5)))
-        np.testing.assert_allclose([f.weak.tx for f in out], [0.0, 0.5, 0.75, 0.875, 0.9375], atol=1e-12)
+        frames = clip([make_frame(0, 0.9, tx=0.0)] + [make_frame(i, 0.9, tx=1.0) for i in range(1, 5)])
+        out = smooth_arrays(frames, FilterConfig(smoothing=SmoothingConfig(mode="exponential", alpha=0.5)))
+        np.testing.assert_allclose(out.weak[:, 1], [0.0, 0.5, 0.75, 0.875, 0.9375], atol=1e-12)
 
     def test_off_mode_passthrough(self):
-        frames = [make_frame(i, 0.9, tx=float(i)) for i in range(3)]
-        assert smooth_sequence(frames, FilterConfig()) == frames
+        frames = clip([make_frame(i, 0.9, tx=float(i)) for i in range(3)])
+        assert smooth_arrays(frames, FilterConfig()).to_records() == frames.to_records()
 
     def test_total_variation_non_increasing(self, rng):
-        frames = [make_frame(i, 0.9, tx=float(v)) for i, v in enumerate(rng.normal(size=40))]
-        out = smooth_sequence(frames, FilterConfig(smoothing=SmoothingConfig(mode="exponential", alpha=0.3)))
-        tv_in = np.abs(np.diff([f.weak.tx for f in frames])).sum()
-        tv_out = np.abs(np.diff([f.weak.tx for f in out])).sum()
+        frames = clip([make_frame(i, 0.9, tx=float(v)) for i, v in enumerate(rng.normal(size=40))])
+        out = smooth_arrays(frames, FilterConfig(smoothing=SmoothingConfig(mode="exponential", alpha=0.3)))
+        tv_in = np.abs(np.diff(frames.weak[:, 1])).sum()
+        tv_out = np.abs(np.diff(out.weak[:, 1])).sum()
         assert tv_out <= tv_in + 1e-12
 
     def test_indices_and_observations_preserved(self, rng):
-        frames = [make_frame(i, 0.9, tx=float(v)) for i, v in enumerate(rng.normal(size=10))]
-        out = smooth_sequence(frames, FilterConfig(smoothing=SmoothingConfig(mode="one_euro")))
-        assert [f.frame_index for f in out] == [f.frame_index for f in frames]
-        for a, b in zip(frames, out):
-            np.testing.assert_array_equal(a.joints2d, b.joints2d)
-            assert a.confidence == b.confidence
+        frames = clip([make_frame(i, 0.9, tx=float(v)) for i, v in enumerate(rng.normal(size=10))])
+        out = smooth_arrays(frames, FilterConfig(smoothing=SmoothingConfig(mode="one_euro")))
+        np.testing.assert_array_equal(out.frame_index, frames.frame_index)
+        np.testing.assert_array_equal(out.joints2d, frames.joints2d)
+        np.testing.assert_array_equal(out.confidence, frames.confidence)
 
     def test_pose_canonicalized_before_filtering(self):
         # a 3pi/2 rotation and its canonical -pi/2 form are the same motion;
         # smoothing must not see a 2pi jump between them
-        a = make_frame(0, 0.9, pose_angle=3 * np.pi / 2)
-        b = make_frame(1, 0.9, pose_angle=-np.pi / 2)
-        out = smooth_sequence([a, b], FilterConfig(smoothing=SmoothingConfig(mode="exponential", alpha=0.5)))
-        assert out[1].pose.rotations[0, 2] == pytest.approx(-np.pi / 2, abs=1e-12)
+        frames = clip([make_frame(0, 0.9, pose_angle=3 * np.pi / 2), make_frame(1, 0.9, pose_angle=-np.pi / 2)])
+        out = smooth_arrays(frames, FilterConfig(smoothing=SmoothingConfig(mode="exponential", alpha=0.5)))
+        assert out.rotations[1, 0, 2] == pytest.approx(-np.pi / 2, abs=1e-12)
 
     def test_smoothing_config_validation(self):
         with pytest.raises(ValueError):
