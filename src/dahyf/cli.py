@@ -19,10 +19,10 @@ from .arrayio import read_coord_array, write_coord_array, write_direction_map
 from .camera import WeakCamera, project_points, weak_to_full
 from .codec import CodecConfig, decode_soft_argmax, encode_labels
 from .confidence import cosine_confidence, cosine_confidence_grad, normalize_pred, normalize_proj
-from .data import read_jsonl, synth_sequence, write_jsonl
+from .data import match_labels, read_jsonl, read_labels, synth_sequence, write_jsonl
 from .fusion import pe_normalize, positional_encode
-from .geometry import PatchSpec, global_direction_map, local_direction_map
-from .hand_model import HandPose, HandShape, forward_kinematics, load_model
+from .geometry import PatchSpec, SpecColumns, global_direction_map, local_direction_map
+from .hand_model import N_KEYPOINTS, N_ROTATIONS, N_SHAPE_COEFFS, HandPose, HandShape, forward_kinematics, load_model
 from .losses import (
     bone_loss,
     bone_loss_grad,
@@ -34,7 +34,7 @@ from .losses import (
     l2_loss,
     l2_loss_grad,
 )
-from .jsonrecord import read_json, write_json
+from .jsonrecord import field, numbers, parse_rows, read_json, write_json
 from .metrics import epe_2d, f_score, summarize
 from .pipeline import PipelineConfig, load_config, run_pipeline
 from .tempfilter import SMOOTHING_MODES, FilterConfig, FrameArrays, SmoothingConfig, gate_arrays, smooth_arrays
@@ -44,12 +44,18 @@ JSON_FORMAT_VERSION = 1
 SEED_ENV_VAR = "DAHYF_SEED"
 
 
-def _load_joints(path, dim):
-    doc = read_json(path)
-    joints = np.asarray(doc["joints"], dtype=np.float64)
-    if joints.ndim != 2 or joints.shape[1] != dim:
-        raise ValueError(f"{path}: expected joints of dimension {dim}")
-    return joints
+def _load_array(path, key: str, shape: tuple[int | None, ...]) -> np.ndarray:
+    """The `key` array of a JSON file, through the package's number decoder."""
+    try:
+        return numbers([read_json(path)[key]], shape, key)[0]
+    except KeyError:
+        raise ValueError(f"{path}: missing field {key!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _write_arrays(path, **arrays: np.ndarray) -> None:
+    write_json({"format_version": JSON_FORMAT_VERSION, **{key: a.tolist() for key, a in arrays.items()}}, path)
 
 
 def _seed_override(seed: int) -> int:
@@ -70,7 +76,7 @@ def _cmd_dirmap(args) -> int:
 
 def _cmd_codec_encode(args) -> int:
     cfg = CodecConfig.from_dict(read_json(args.cfg)) if args.cfg else CodecConfig()
-    targets = encode_labels(_load_joints(args.joints, 2), cfg)
+    targets = encode_labels(_load_array(args.joints, "joints", (None, 2)), cfg)
     write_coord_array(targets, args.out)
     print(f"wrote targets {targets.shape} to {args.out}")
     return 0
@@ -79,64 +85,55 @@ def _cmd_codec_encode(args) -> int:
 def _cmd_codec_decode(args) -> int:
     cfg = CodecConfig.from_dict(read_json(args.cfg)) if args.cfg else CodecConfig()
     joints = decode_soft_argmax(read_coord_array(args.logits), cfg)
-    write_json({"format_version": JSON_FORMAT_VERSION, "joints": joints.tolist()}, args.out)
+    _write_arrays(args.out, joints=joints)
     print(f"wrote {joints.shape[0]} decoded joints to {args.out}")
     return 0
 
 
 def _cmd_pe(args) -> int:
-    joints = _load_joints(args.joints, 2)
+    joints = _load_array(args.joints, "joints", (None, 2))
     mu = pe_normalize(joints, args.sp, args.focal)
     encoding = positional_encode(mu, args.octaves)
-    write_json(
-        {
-            "format_version": JSON_FORMAT_VERSION,
-            "mu": mu.tolist(),
-            "encoding": encoding.tolist(),
-        },
-        args.out,
-    )
+    _write_arrays(args.out, mu=mu, encoding=encoding)
     print(f"wrote length-{encoding.size} encoding to {args.out}")
     return 0
 
 
 def _cmd_fk(args) -> int:
     model = load_model(args.model if args.model else toy.bundled_model_path())
-    pose = HandPose(np.asarray(read_json(args.pose)["pose"], dtype=np.float64))
-    shape = HandShape(np.asarray(read_json(args.shape)["shape"], dtype=np.float64)) if args.shape else HandShape.zeros()
+    pose = HandPose(_load_array(args.pose, "pose", (N_ROTATIONS, 3)))
+    shape = HandShape(_load_array(args.shape, "shape", (N_SHAPE_COEFFS,))) if args.shape else HandShape.zeros()
     joints = forward_kinematics(model, shape, pose)
-    write_json({"format_version": JSON_FORMAT_VERSION, "joints": joints.tolist()}, args.out)
+    _write_arrays(args.out, joints=joints)
     print(f"wrote 21 posed joints to {args.out}")
     return 0
 
 
 def _cmd_project(args) -> int:
-    joints3d = _load_joints(args.joints, 3)
+    joints3d = _load_array(args.joints, "joints", (None, 3))
     weak = WeakCamera.from_dict(read_json(args.weak))
     spec = PatchSpec.from_dict(read_json(args.spec))
     uv = project_points(joints3d, weak_to_full(weak, spec))
-    write_json({"format_version": JSON_FORMAT_VERSION, "joints": uv.tolist()}, args.out)
+    _write_arrays(args.out, joints=uv)
     print(f"wrote {uv.shape[0]} projected joints to {args.out}")
     return 0
 
 
 def _cmd_confidence(args) -> int:
     if args.batch:
-        for doc in read_jsonl(args.batch):
-            spec = PatchSpec.from_dict(doc["spec"])
-            conf = cosine_confidence(
-                normalize_pred(np.asarray(doc["pred"], dtype=np.float64), spec),
-                normalize_proj(np.asarray(doc["proj"], dtype=np.float64), spec),
-            )
-            print(f"{conf:.6f}")
-        return 0
-    spec = PatchSpec.from_dict(read_json(args.spec))
-    conf = cosine_confidence(
-        normalize_pred(_load_joints(args.pred, 2), spec),
-        normalize_proj(_load_joints(args.proj, 2), spec),
-    )
-    print(f"{conf:.6f}")
+        pred, proj, specs = parse_rows(_confidence_pairs, read_jsonl(args.batch), unit="line")
+    else:
+        pred, proj = (_load_array(path, "joints", (None, 2))[None] for path in (args.pred, args.proj))
+        specs = SpecColumns.stack([PatchSpec.from_dict(read_json(args.spec))])
+    for conf in cosine_confidence(normalize_pred(pred, specs), normalize_proj(proj, specs)):
+        print(f"{conf:.6f}")
     return 0
+
+
+def _confidence_pairs(docs):
+    """The (T, 21, 2) `pred` and `proj` stacks of confidence batch lines, and their specs."""
+    pred, proj = (numbers([doc[key] for doc in docs], (N_KEYPOINTS, 2), key) for key in ("pred", "proj"))
+    return pred, proj, SpecColumns.stack([field(doc, "spec", PatchSpec) for doc in docs])
 
 
 def _cmd_filter(args) -> int:
@@ -153,32 +150,19 @@ def _cmd_filter(args) -> int:
     return 0
 
 
-def _matched(pairs, key):
-    """(pred, gt) stacks of `key` over the matched frames that hold it in
-    both documents, or None when none does."""
-    rows = [(pred[key], gt[key]) for pred, gt in pairs if key in pred and key in gt]
-    if not rows:
-        return None
-    pred, gt = zip(*rows)
-    return np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
-
-
 def _cmd_eval(args) -> int:
-    pred_docs = read_jsonl(args.pred)
-    gt_by_index = {doc.get("frame_index", i): doc for i, doc in enumerate(read_jsonl(args.gt))}
-    matched = ((doc, gt_by_index.get(doc.get("frame_index", i))) for i, doc in enumerate(pred_docs))
-    pairs = [(doc, gt_doc) for doc, gt_doc in matched if gt_doc is not None]
-    report: dict = {"format_version": JSON_FORMAT_VERSION, "n_samples": len(pred_docs)}
-    joints3d = _matched(pairs, "joints3d")
-    if joints3d is not None:
-        report.update(summarize(*joints3d))
-    joints2d = _matched(pairs, "joints2d")
-    if joints2d is not None:
-        report["epe_px"] = float(np.mean(epe_2d(*joints2d)))
-    vertices = _matched(pairs, "vertices")
-    if vertices is not None:
+    frame_index, pred = read_labels(args.pred)
+    rows, gt = match_labels(frame_index, args.gt)
+    scored = {name: (pred[name][rows], gt[name]) for name in pred.keys() & gt.keys()} if rows.size else {}
+    report: dict = {"format_version": JSON_FORMAT_VERSION, "n_samples": len(frame_index)}
+    if "joints3d" in scored:
+        report.update(summarize(*scored["joints3d"]))
+    if "joints2d" in scored:
+        report["epe_px"] = float(np.mean(epe_2d(*scored["joints2d"])))
+    if "vertices" in scored:
         for mm in (5, 15):
-            report[f"f_at_{mm}"] = float(np.mean([f_score(p, g, mm, correspondence="index") for p, g in zip(*vertices)]))
+            report[f"f_at_{mm}"] = float(np.mean([f_score(p, g, mm, correspondence="index")
+                                                  for p, g in zip(*scored["vertices"])]))
     write_json(report, args.report)
     print(f"wrote evaluation report to {args.report}")
     return 0
@@ -265,93 +249,67 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dahyf", description="Direction-aware hand mocap numerics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dirmap", help="compute a direction map for a patch spec")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out", required=True)
+    def command(subparsers, name: str, func, required=(), **kwargs) -> argparse.ArgumentParser:
+        """A subcommand that calls `func`, with a required option for each flag in `required`."""
+        p = subparsers.add_parser(name, **kwargs)
+        for flag in required:
+            p.add_argument(flag, required=True)
+        p.set_defaults(func=func)
+        return p
+
+    p = command(sub, "dirmap", _cmd_dirmap, ("--spec", "--out"), help="compute a direction map for a patch spec")
     p.add_argument("--channels", type=int, default=2)
     p.add_argument("--local", action="store_true", help="local index map instead of global directions")
-    p.set_defaults(func=_cmd_dirmap)
 
-    p = sub.add_parser("codec", help="sub-pixel coordinate codec")
-    codec_sub = p.add_subparsers(dest="codec_command", required=True)
-    enc = codec_sub.add_parser("encode")
-    enc.add_argument("--joints", required=True)
-    enc.add_argument("--cfg")
-    enc.add_argument("--out", required=True)
-    enc.set_defaults(func=_cmd_codec_encode)
-    dec = codec_sub.add_parser("decode")
-    dec.add_argument("--logits", required=True)
-    dec.add_argument("--cfg")
-    dec.add_argument("--out", required=True)
-    dec.set_defaults(func=_cmd_codec_decode)
+    codec_sub = sub.add_parser("codec", help="sub-pixel coordinate codec").add_subparsers(
+        dest="codec_command", required=True)
+    command(codec_sub, "encode", _cmd_codec_encode, ("--joints", "--out")).add_argument("--cfg")
+    command(codec_sub, "decode", _cmd_codec_decode, ("--logits", "--out")).add_argument("--cfg")
 
-    p = sub.add_parser("pe", help="positional-encode 2D joints")
-    p.add_argument("--joints", required=True)
+    p = command(sub, "pe", _cmd_pe, ("--joints", "--out"), help="positional-encode 2D joints")
     p.add_argument("--sp", type=int, default=224)
     p.add_argument("--focal", type=float, required=True)
     p.add_argument("-L", "--octaves", type=int, default=4)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_pe)
 
-    p = sub.add_parser("fk", help="forward kinematics")
+    p = command(sub, "fk", _cmd_fk, ("--pose", "--out"), help="forward kinematics")
     p.add_argument("--model")
-    p.add_argument("--pose", required=True)
     p.add_argument("--shape")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_fk)
 
-    p = sub.add_parser("project", help="project 3D joints through a weak camera")
-    p.add_argument("--joints", required=True)
-    p.add_argument("--weak", required=True)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_project)
+    command(sub, "project", _cmd_project, ("--joints", "--weak", "--spec", "--out"),
+            help="project 3D joints through a weak camera")
 
-    p = sub.add_parser("confidence", help="cosine confidence between detections and reprojections")
+    p = command(sub, "confidence", _cmd_confidence, help="cosine confidence between detections and reprojections")
     p.add_argument("--pred")
     p.add_argument("--proj")
     p.add_argument("--spec")
-    p.add_argument("--batch", help="JSONL with pred/proj/spec per line")
-    p.set_defaults(func=_cmd_confidence)
+    p.add_argument("--batch", help="JSONL with pred/proj/spec per line; replaces --pred, --proj and --spec")
 
-    p = sub.add_parser("filter", help="gate and smooth a frame sequence")
+    p = command(sub, "filter", _cmd_filter, ("--out",), help="gate and smooth a frame sequence")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--threshold", type=float, default=FilterConfig.threshold)
     p.add_argument("--smooth", default=SmoothingConfig.mode, choices=SMOOTHING_MODES)
     p.add_argument("--alpha", type=float, default=SmoothingConfig.alpha)
     p.add_argument("--max-hold", type=int, default=FilterConfig.max_hold_frames)
-    p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser("eval", help="evaluate predictions against ground truth")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gt", required=True)
-    p.add_argument("--report", required=True)
-    p.set_defaults(func=_cmd_eval)
+    command(sub, "eval", _cmd_eval, ("--pred", "--gt", "--report"), help="evaluate predictions against ground truth")
 
-    p = sub.add_parser("synth", help="generate a synthetic sequence")
+    p = command(sub, "synth", _cmd_synth, ("--gt", "--out"), help="generate a synthetic sequence")
     p.add_argument("--model")
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--motion", default="wave", choices=["wave", "still"])
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--outlier-rate", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gt", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("gradcheck", help="compare analytic and finite-difference gradients")
+    p = command(sub, "gradcheck", _cmd_gradcheck, help="compare analytic and finite-difference gradients")
     p.add_argument("--loss", required=True, choices=["kl", "l1", "l2", "bone", "cosine"])
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_gradcheck)
 
-    p = sub.add_parser("run", help="run the full pipeline over a sequence")
+    p = command(sub, "run", _cmd_run, ("--out",), help="run the full pipeline over a sequence")
     p.add_argument("--config")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--gt")
-    p.add_argument("--out", required=True)
     p.add_argument("--report")
-    p.set_defaults(func=_cmd_run)
 
     return parser
 
@@ -359,6 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "confidence" and not args.batch and None in (args.pred, args.proj, args.spec):
+        parser.error("confidence needs --batch, or all of --pred, --proj and --spec")
     try:
         return args.func(args)
     except Exception as exc:  # surface a clean diagnostic, nonzero exit

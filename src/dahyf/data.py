@@ -17,9 +17,9 @@ import numpy as np
 from .camera import WeakCamera, project_points, weak_to_full
 from .confidence import cosine_confidence, normalize_pred, normalize_proj
 from .geometry import PatchSpec, SpecColumns, frame_to_patch_abs
-from .hand_model import N_ROTATIONS, HandModelParams, HandPose, HandShape, forward_kinematics, posed_joints
-from .jsonrecord import read_json
-from .tempfilter import NOT_REPLACED, FrameArrays
+from .hand_model import N_KEYPOINTS, N_ROTATIONS, HandModelParams, HandPose, HandShape, forward_kinematics, posed_joints
+from .jsonrecord import field, numbers, parse_rows, read_json
+from .tempfilter import NOT_REPLACED, FrameArrays, check_indices
 
 FREIHAND_SPLITS = ("training", "evaluation")
 
@@ -92,11 +92,47 @@ def write_jsonl(records, path: str | Path) -> None:
 def read_jsonl(path: str | Path) -> list[dict]:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                records.append(json.loads(line))
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}: line {number}, column {exc.colno}: {exc.msg}") from exc
     return records
+
+
+# The arrays a labeled frame line may hold, by shape; None takes any length.
+LABEL_SHAPES = {"joints3d": (N_KEYPOINTS, 3), "joints2d": (N_KEYPOINTS, 2), "vertices": (None, 3)}
+
+
+def read_labels(path: str | Path, fields: tuple[str, ...] | None = None) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """`frame_index` (T,) and (T, …) float64 stacks of `fields` (by default
+    the LABEL_SHAPES fields that any line holds) of a JSONL file.  Each line
+    holds an integer `frame_index`, strictly increasing, and every field as
+    finite JSON numbers of its shape; an error names file, frame and field."""
+    docs = read_jsonl(path)
+    if fields is None:
+        fields = [name for name in LABEL_SHAPES if any(isinstance(doc, dict) and name in doc for doc in docs)]
+
+    def parse(rows):
+        return (np.array([field(doc, "frame_index", int) for doc in rows], dtype=np.int64),
+                {name: numbers([doc[name] for doc in rows], LABEL_SHAPES[name], name) for name in fields})
+
+    try:
+        frame_index, columns = parse_rows(parse, docs)
+        check_indices(frame_index)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return frame_index, columns
+
+
+def match_labels(frame_index: np.ndarray, path: str | Path, fields: tuple[str, ...] | None = None):
+    """The rows of `frame_index` (strictly increasing) whose frames the labels
+    at `path` hold, and `read_labels`' stacks at those frames, row for row."""
+    label_index, columns = read_labels(path, fields)
+    _, rows, matched = np.intersect1d(frame_index, label_index, assume_unique=True, return_indices=True)
+    return rows, {name: column[matched] for name, column in columns.items()}
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""The one dataclass <-> JSON dict codec, and the one JSON file read/write pair."""
+"""The one dataclass <-> JSON dict codec, JSON file read/write pair, decoder
+of JSON number arrays, and clip parse that names the first bad record."""
 
 from __future__ import annotations
 
@@ -8,6 +9,9 @@ import json
 import types
 import typing
 from pathlib import Path
+from typing import Callable, Sequence
+
+import numpy as np
 
 
 def read_json(path: str | Path):
@@ -54,14 +58,7 @@ class JsonRecord:
         kwargs = {}
         for name, (decode, required) in fields.items():
             if name in doc:
-                try:
-                    kwargs[name] = decode(doc[name])
-                except KeyError as exc:  # a missing key inside a nested record
-                    raise KeyError(f"{name}.{exc.args[0]}") from exc
-                except FieldError as exc:
-                    raise FieldError(f"{name}.{exc.path}", exc.message) from exc
-                except ValueError as exc:
-                    raise FieldError(name, str(exc)) from exc
+                kwargs[name] = _convert(name, decode, doc[name])
             elif required:
                 raise KeyError(name)
         return cls(**kwargs)
@@ -103,6 +100,7 @@ _SCALARS = {  # JSON booleans are not numbers, and an integer field takes no fra
 }
 
 
+@functools.cache
 def _decoder(tp):
     """The function giving a field's value from its JSON form."""
     args = typing.get_args(tp)
@@ -119,3 +117,59 @@ def _decoder(tp):
     if tp not in _SCALARS:
         raise TypeError(f"no JSON form for a field of type {tp!r}")
     return _SCALARS[tp]
+
+
+def field(doc: dict, name: str, tp: type):
+    """`doc[name]` converted by the `JsonRecord` rule for a field of type `tp`."""
+    return _convert(name, _decoder(tp), doc[name])
+
+
+def _convert(name: str, decode, value):
+    """`decode(value)`, a failure named by the field's dotted path."""
+    try:
+        return decode(value)
+    except KeyError as exc:  # a missing key inside a nested record
+        raise KeyError(f"{name}.{exc.args[0]}") from exc
+    except FieldError as exc:
+        raise FieldError(f"{name}.{exc.path}", exc.message) from exc
+    except ValueError as exc:
+        raise FieldError(name, str(exc)) from exc
+
+
+def numbers(values: list, shape: tuple[int | None, ...], name: str) -> np.ndarray:
+    """The (len(values), *shape) float64 array of `values`, nested lists of
+    finite JSON numbers (a None in `shape` takes any length); unlike
+    `np.array`, it refuses strings and booleans."""
+    cells = np.array(values, dtype=object)  # ragged lists stop the shape early, at lists
+    got = cells.shape[1:]
+    if len(got) != len(shape) or any(n not in (None, g) for n, g in zip(shape, got)):
+        raise ValueError(f"{name} must have shape {shape}, got {got}")
+    flat = cells.ravel().tolist()
+    if not set(map(type, flat)) <= {float, int}:
+        raise ValueError(f"{name}: expected a number, got {next(v for v in flat if type(v) not in (float, int))!r}")
+    out = cells.astype(np.float64)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} contains non-finite values")
+    return out
+
+
+def parse_rows(parse: Callable[[Sequence[dict]], object], docs: Sequence, unit: str = "frame"):
+    """`parse(docs)` of JSON records.  Every check is per record, so when it
+    fails, parsing the records one by one finds the first bad one, which
+    fails as `frame N: <field.path>: …`, N its `frame_index` or row; with
+    another `unit`, as `<unit> N: …`, N its 1-based row."""
+    if len(docs) == 0:
+        raise ValueError(f"sequence must contain at least one {unit}")
+    try:
+        return parse(docs)
+    except (ValueError, KeyError, OverflowError, TypeError):  # TypeError: a record that is no object
+        for t, doc in enumerate(docs):
+            try:
+                if not isinstance(doc, dict):
+                    raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+                parse([doc])
+            except (ValueError, KeyError, OverflowError) as exc:
+                label = t + 1 if unit != "frame" else (doc.get("frame_index", t) if isinstance(doc, dict) else t)
+                detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{unit} {label}: {detail}") from exc
+        raise

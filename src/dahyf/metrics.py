@@ -11,7 +11,6 @@ stacks give one result per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -142,26 +141,15 @@ def f_score(
     return 200.0 * precision * recall / (precision + recall)
 
 
-def pck_curve(
-    pred: Sequence[np.ndarray],
-    gt: Sequence[np.ndarray],
-    thresholds_mm: np.ndarray,
-) -> list[tuple[float, float]]:
-    """Fraction of joints within each threshold (mm), pooled over all samples.
-
-    Thresholds are absolute millimeters; the curve is monotone
-    non-decreasing by construction.
-    """
-    if len(pred) == 0 or len(pred) != len(gt):
-        raise ValueError("need equally many non-empty pred and gt samples")
-    errors = []
-    for p, g in zip(pred, gt):
-        p = np.asarray(p, dtype=np.float64)
-        g = np.asarray(g, dtype=np.float64)
-        if p.shape != g.shape:
-            raise ValueError("joint sets must share shape")
-        errors.append(np.linalg.norm(p - g, axis=-1) * MM_PER_M)
-    pooled = np.concatenate(errors)
+def pck_curve(pred: np.ndarray, gt: np.ndarray, thresholds_mm: np.ndarray) -> list[tuple[float, float]]:
+    """Fraction of joints within each threshold (absolute mm), pooled over the
+    samples of (T, J, 3) stacks or of T (J, 3) sets of one shape; the curve
+    is monotone non-decreasing by construction."""
+    p = np.asarray(pred, dtype=np.float64)
+    g = np.asarray(gt, dtype=np.float64)
+    if len(p) == 0 or p.shape != g.shape:
+        raise ValueError("need equally many non-empty pred and gt samples of one shape")
+    pooled = np.linalg.norm(p - g, axis=-1).ravel() * MM_PER_M
     return [(float(t), float(np.mean(pooled <= t))) for t in np.asarray(thresholds_mm, dtype=np.float64)]
 
 

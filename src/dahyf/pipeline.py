@@ -20,7 +20,7 @@ from .arrayio import read_coord_array
 from .camera import project_points, weak_to_full
 from .codec import CodecConfig, decode_soft_argmax
 from .confidence import cosine_confidence, normalize_pred, normalize_proj
-from .data import read_jsonl, write_jsonl
+from .data import match_labels, read_jsonl, write_jsonl
 from .geometry import RowError, SpecColumns, frame_to_patch_abs
 from .hand_model import N_KEYPOINTS, HandModelParams, load_model, posed_joints
 from .jsonrecord import JsonRecord, read_json, write_json
@@ -178,25 +178,17 @@ def _build_report(config, raw: FrameArrays, out: FrameArrays, specs, pre_uv, pos
     if gt_path is None:
         return report
 
-    gt_by_index = {doc["frame_index"]: doc for doc in read_jsonl(gt_path)}
-    frame_index = raw.frame_index.tolist()
-    rows = [t for t, i in enumerate(frame_index) if i in gt_by_index]
-    if not rows:
+    rows, gt = match_labels(raw.frame_index, gt_path, ("joints3d", "joints2d"))
+    if not rows.size:
         return report
-    gt_docs = [gt_by_index[frame_index[t]] for t in rows]
-    gt3d = np.array([doc["joints3d"] for doc in gt_docs], dtype=np.float64)
-    gt2d = np.array([doc["joints2d"] for doc in gt_docs], dtype=np.float64)
     with _naming_frames(raw.frame_index[rows]):
-        summary = summarize(post_joints3d[rows], gt3d)
-    observed = raw.joints2d[rows]
-    reproj_pre = frame_to_patch_abs(pre_uv, specs)[rows]
-    reproj_post = frame_to_patch_abs(post_uv, specs)[rows]
+        summary = summarize(post_joints3d[rows], gt["joints3d"])
     report["metrics"] = {
         "mpjpe_mm": summary["mpjpe_mm"],
         "pa_mpjpe_mm": summary["pa_mpjpe_mm"],
-        "epe_observed_px": float(np.mean(epe_2d(observed, gt2d))),
-        "epe_reproj_pre_px": float(np.mean(epe_2d(reproj_pre, gt2d))),
-        "epe_reproj_post_px": float(np.mean(epe_2d(reproj_post, gt2d))),
+        "epe_observed_px": float(np.mean(epe_2d(raw.joints2d[rows], gt["joints2d"]))),
+        "epe_reproj_pre_px": float(np.mean(epe_2d(frame_to_patch_abs(pre_uv, specs)[rows], gt["joints2d"]))),
+        "epe_reproj_post_px": float(np.mean(epe_2d(frame_to_patch_abs(post_uv, specs)[rows], gt["joints2d"]))),
         "pck": summary["pck"],
     }
     return report

@@ -24,7 +24,7 @@ import numpy as np
 from .camera import WeakCamera
 from .geometry import PatchSpec
 from .hand_model import N_KEYPOINTS, N_ROTATIONS, N_SHAPE_COEFFS, HandPose, HandShape, canonicalize_axis_angle
-from .jsonrecord import JsonRecord
+from .jsonrecord import JsonRecord, numbers, parse_rows
 
 FRAME_FORMAT_VERSION = 1
 
@@ -158,33 +158,17 @@ class FrameArrays:
         finite JSON numbers.  Other keys are ignored.  The first bad record
         fails as `frame N: <field.path>: …`.
         """
-        if len(docs) == 0:
-            raise ValueError("sequence must contain at least one frame")
-        try:
-            return cls._parse(docs)
-        except (ValueError, KeyError, OverflowError):
-            # every check is per record, so parsing them one by one finds the first bad one
-            for t, doc in enumerate(docs):
-                try:
-                    cls._parse([doc])
-                except (ValueError, KeyError, OverflowError) as exc:
-                    label = doc.get("frame_index", t) if isinstance(doc, dict) else t
-                    detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-                    raise ValueError(f"frame {label}: {detail}") from exc
-            raise
+        return parse_rows(cls._parse, docs)
 
     @classmethod
     def _parse(cls, docs: Sequence[dict]) -> "FrameArrays":
-        for doc in docs:
-            if not isinstance(doc, dict):
-                raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
         rows = [_Scalars.from_dict({key: doc[key] for key in _SCALAR_KEYS if key in doc}) for doc in docs]
         return cls(
             frame_index=np.array([row.frame_index for row in rows], dtype=np.int64),
-            rotations=_numbers([doc["pose"] for doc in docs], (N_ROTATIONS, 3), "pose"),
-            betas=_numbers([doc["shape"] for doc in docs], (N_SHAPE_COEFFS,), "shape"),
+            rotations=numbers([doc["pose"] for doc in docs], (N_ROTATIONS, 3), "pose"),
+            betas=numbers([doc["shape"] for doc in docs], (N_SHAPE_COEFFS,), "shape"),
             weak=np.array([(row.weak.scale, row.weak.tx, row.weak.ty) for row in rows], dtype=np.float64),
-            joints2d=_numbers([doc["joints2d"] for doc in docs], (N_KEYPOINTS, 2), "joints2d"),
+            joints2d=numbers([doc["joints2d"] for doc in docs], (N_KEYPOINTS, 2), "joints2d"),
             specs=tuple(row.spec for row in rows),
             confidence=np.array([math.nan if row.confidence is None else row.confidence for row in rows]),
             unreliable=np.array([row.unreliable for row in rows], dtype=bool),
@@ -222,22 +206,7 @@ def _rows_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.view(np.uint64) != b.view(np.uint64)).reshape(len(a), -1).any(axis=1)
 
 
-def _numbers(values: list, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """The (len(values), *shape) float64 array of `values`, nested lists of
-    finite JSON numbers; unlike `np.array`, it refuses strings and booleans."""
-    cells = np.array(values, dtype=object)  # ragged lists stop the shape early, at lists
-    if cells.shape[1:] != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {cells.shape[1:]}")
-    flat = cells.ravel().tolist()
-    if not set(map(type, flat)) <= {float, int}:
-        raise ValueError(f"{name}: expected a number, got {next(v for v in flat if type(v) not in (float, int))!r}")
-    out = cells.astype(np.float64)
-    if not np.isfinite(out).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return out
-
-
-def _check_indices(frame_index: np.ndarray) -> None:
+def check_indices(frame_index: np.ndarray) -> None:
     late = np.flatnonzero(frame_index[1:] <= frame_index[:-1])
     if late.size:
         t = late[0] + 1
@@ -255,7 +224,7 @@ def gate_arrays(clip: FrameArrays, cfg: FilterConfig) -> FrameArrays:
     parameters.  Confidence values and 2D observations are never rewritten,
     which makes the operation idempotent.
     """
-    _check_indices(clip.frame_index)
+    check_indices(clip.frame_index)
     missing = np.isnan(clip.confidence)
     if missing.any():
         raise ValueError(f"frame {clip.frame_index[np.argmax(missing)]} has no confidence; compute it before gating")
@@ -288,7 +257,7 @@ def smooth_arrays(clip: FrameArrays, cfg: FilterConfig) -> FrameArrays:
     units; the first row passes through after pose canonicalization.  2D
     observations and confidences are untouched.
     """
-    _check_indices(clip.frame_index)
+    check_indices(clip.frame_index)
     smoothing = cfg.smoothing
     if smoothing.mode == "off":
         return clip

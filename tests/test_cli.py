@@ -14,6 +14,7 @@ from dahyf.arrayio import (
 )
 from dahyf.cli import main
 from dahyf.codec import log_probs
+from dahyf.confidence import cosine_confidence, normalize_pred, normalize_proj
 from dahyf.geometry import PatchSpec, global_direction_map
 
 
@@ -201,3 +202,72 @@ class TestCliCommands:
         same_as_cli_seed = run("1")
         assert overridden != base
         assert same_as_cli_seed == base
+
+
+class TestCliReaders:
+    """Every array the commands read goes through the package's number decoder."""
+
+    def test_codec_encode_rejects_non_numbers(self, tmp_path, capsys):
+        jfile = write_json({"joints": [[True, "3"]] + [[10.0, 20.0]] * 20}, tmp_path / "j.json")
+        assert main(["codec", "encode", "--joints", jfile, "--out", str(tmp_path / "t.bin")]) == 1
+        assert "j.json: joints: expected a number, got True" in capsys.readouterr().err
+        assert not (tmp_path / "t.bin").exists()
+
+    def test_fk_rejects_a_string_in_pose(self, tmp_path, capsys):
+        pose = np.zeros((16, 3)).tolist()
+        pose[4][2] = "0.1"
+        pose_file = write_json({"pose": pose}, tmp_path / "p.json")
+        assert main(["fk", "--pose", pose_file, "--out", str(tmp_path / "o.json")]) == 1
+        assert "p.json: pose: expected a number, got '0.1'" in capsys.readouterr().err
+
+    def test_missing_array_names_file_and_key(self, tmp_path, capsys):
+        jfile = write_json({"joint": [[1.0, 2.0]]}, tmp_path / "j.json")
+        assert main(["pe", "--joints", jfile, "--focal", "800", "--out", str(tmp_path / "pe.json")]) == 1
+        assert "j.json: missing field 'joints'" in capsys.readouterr().err
+
+    @staticmethod
+    def _batch_lines(rng, n):
+        lines = []
+        for t in range(n):
+            spec = PatchSpec(640, 480, (float(rng.uniform(0, 300)), float(rng.uniform(0, 200))),
+                             float(rng.uniform(100, 250)), focal=800.0, flipped=bool(t % 2))
+            pred = rng.uniform(0, 224, (21, 2))
+            proj = rng.uniform(0, 480, (21, 2))
+            lines.append({"pred": pred.tolist(), "proj": proj.tolist(), "spec": spec.to_dict()})
+        return lines
+
+    def test_confidence_batch_matches_the_per_line_result(self, tmp_path, capsys, rng):
+        lines = self._batch_lines(rng, 40)
+        batch = tmp_path / "pairs.jsonl"
+        batch.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert main(["confidence", "--batch", str(batch)]) == 0
+        want = []
+        for line in lines:
+            spec = PatchSpec.from_dict(line["spec"])
+            conf = cosine_confidence(normalize_pred(np.asarray(line["pred"]), spec),
+                                     normalize_proj(np.asarray(line["proj"]), spec))
+            want.append(f"{conf:.6f}\n")
+        assert capsys.readouterr().out == "".join(want)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: {**line, "pred": [["0.5", 1.0]] + line["pred"][1:]}, "line 2: pred: expected a number, got '0.5'"),
+        (lambda line: {**line, "proj": line["proj"][:20]}, "line 2: proj must have shape (21, 2), got (20, 2)"),
+        (lambda line: {**line, "spec": {**line["spec"], "flipped": "no"}}, "line 2: spec.flipped: expected true or false"),
+        (lambda line: {k: v for k, v in line.items() if k != "spec"}, "line 2: missing field 'spec'"),
+    ], ids=["string_in_pred", "short_proj", "bad_spec_field", "missing_spec"])
+    def test_confidence_batch_names_the_bad_line(self, tmp_path, capsys, rng, edit, message):
+        lines = self._batch_lines(rng, 3)
+        lines[1] = edit(lines[1])
+        batch = tmp_path / "pairs.jsonl"
+        batch.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert main(["confidence", "--batch", str(batch)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [[], ["--pred", "p.json"], ["--pred", "p.json", "--proj", "q.json"]],
+                             ids=["bare", "pred_only", "no_spec"])
+    def test_confidence_needs_batch_or_all_three_inputs(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["confidence", *argv])
+        assert exc.value.code == 2
+        assert "confidence needs --batch, or all of --pred, --proj and --spec" in capsys.readouterr().err

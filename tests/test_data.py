@@ -61,6 +61,12 @@ class TestJsonl:
         write_jsonl(records, path)
         assert read_jsonl(path) == records
 
+    def test_malformed_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n\n{"a": 2}\n{"a": 3}\n{oops\n{"a": 5}\n')
+        with pytest.raises(ValueError, match=r"x\.jsonl: line 5, column 2: Expecting property name"):
+            read_jsonl(path)
+
 
 class TestSynth:
     def test_deterministic(self, toy_model):

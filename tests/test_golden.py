@@ -2,9 +2,11 @@
 
 Each case rebuilds its inputs from a seeded synthetic sequence in a
 temporary directory, runs the pipeline and compares `out.jsonl` and
-`report.json` with `tests/golden/<case>/`.  Integers, booleans, strings and
-index lists must match exactly; floats within 1e-12 (relative above
-magnitude 1), the tolerance the ROADMAP allows for reordered sums.
+`report.json` with `tests/golden/<case>/`.  A case with ground truth also
+runs `dahyf eval` on its `out.jsonl` and compares the report with
+`eval.json`.  Integers, booleans, strings and index lists must match
+exactly; floats within 1e-12 (relative above magnitude 1), the tolerance
+the ROADMAP allows for reordered sums.
 
 Regenerate the files only when outputs are meant to change:
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 from dahyf.arrayio import write_coord_array
+from dahyf.cli import main
 from dahyf.codec import CodecConfig, encode_labels, log_probs
 from dahyf.data import read_jsonl, synth_sequence, write_jsonl
 from dahyf.hand_model import load_model
@@ -88,9 +91,16 @@ CASES = {
 }
 
 
+# the cases with ground truth, which `dahyf eval` also scores
+EVAL_CASES = ("exponential", "off_gt_outliers", "sqrt_fallback")
+
+
 def _run_case(name: str, model, workdir: Path) -> tuple[list[dict], dict]:
     config, obs, gt = CASES[name](model, workdir)
     run_pipeline(config, obs, workdir / "out.jsonl", workdir / "report.json", gt)
+    if gt is not None:
+        argv = ["eval", "--pred", str(workdir / "out.jsonl"), "--gt", str(gt), "--report", str(workdir / "eval.json")]
+        assert main(argv) == 0
     return read_jsonl(workdir / "out.jsonl"), json.loads((workdir / "report.json").read_text(encoding="utf-8"))
 
 
@@ -127,6 +137,15 @@ def test_pipeline_matches_golden(name, toy_model, tmp_path):
     assert not diffs, "\n".join(diffs[:10])
 
 
+@pytest.mark.parametrize("name", EVAL_CASES)
+def test_eval_matches_golden(name, toy_model, tmp_path):
+    _run_case(name, toy_model, tmp_path)
+    diffs: list[str] = []
+    _diff(json.loads((GOLDEN_DIR / name / "eval.json").read_text(encoding="utf-8")),
+          json.loads((tmp_path / "eval.json").read_text(encoding="utf-8")), f"{name}/eval.json", diffs)
+    assert not diffs, "\n".join(diffs[:10])
+
+
 def test_cases_exercise_the_filter():
     """The golden cases cover replaced, held and unreliable frames."""
     reports = {name: json.loads((GOLDEN_DIR / name / "report.json").read_text(encoding="utf-8"))
@@ -134,6 +153,7 @@ def test_cases_exercise_the_filter():
     assert reports["off_gt_outliers"]["replaced_frames"] and "metrics" in reports["off_gt_outliers"]
     assert reports["sqrt_fallback"]["unreliable_frames"]
     assert "metrics" not in reports["one_euro_logits"]
+    assert sorted(name for name in CASES if (GOLDEN_DIR / name / "eval.json").exists()) == list(EVAL_CASES)
 
 
 def _write_golden() -> None:
@@ -144,8 +164,9 @@ def _write_golden() -> None:
             _run_case(name, model, workdir)
             dest = GOLDEN_DIR / name
             dest.mkdir(parents=True, exist_ok=True)
-            for file in ("out.jsonl", "report.json"):
-                (dest / file).write_bytes((workdir / file).read_bytes())
+            for file in ("out.jsonl", "report.json", "eval.json"):
+                if (workdir / file).exists():
+                    (dest / file).write_bytes((workdir / file).read_bytes())
         print(f"wrote {GOLDEN_DIR / name}", file=sys.stderr)
 
 

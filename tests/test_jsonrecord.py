@@ -19,7 +19,7 @@ from dahyf.codec import CodecConfig
 from dahyf.data import synth_sequence, write_jsonl
 from dahyf.geometry import PatchSpec
 from dahyf.hand_model import HandPose, HandShape
-from dahyf.jsonrecord import JsonRecord, read_json, write_json
+from dahyf.jsonrecord import JsonRecord, numbers, read_json, write_json
 from dahyf.pipeline import PipelineConfig, load_config, run_pipeline
 from dahyf.tempfilter import SMOOTHING_MODES, FilterConfig, FrameResult, SmoothingConfig
 
@@ -130,6 +130,49 @@ def test_frame_layout_matches_the_hand_written_one(spec, camera, seed, confidenc
         spec=spec, confidence=confidence, unreliable=unreliable, replaced_from=replaced_from,
     )
     assert json.dumps(frame.to_dict()) == json.dumps(reference_frame_dict(frame))
+
+
+json_numbers = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**70), 2**70)
+array_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
+
+
+def _nested(flat, shape):
+    """`flat` as nested lists of `shape`."""
+    if len(shape) == 1:
+        return list(flat)
+    step = len(flat) // shape[0]
+    return [_nested(flat[i * step:(i + 1) * step], shape[1:]) for i in range(shape[0])]
+
+
+@props
+@given(data=st.data(), shape=array_shapes, rows=st.integers(1, 3))
+def test_numbers_match_np_array_bit_for_bit(data, shape, rows):
+    size = rows * int(np.prod(shape))
+    flat = data.draw(st.lists(json_numbers, min_size=size, max_size=size))
+    values = through_json(_nested(flat, (rows, *shape)))
+    got = numbers(values, shape, "x")
+    want = np.array(values, dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert numbers(values, tuple(None for _ in shape), "x").tobytes() == want.tobytes()  # any length
+
+
+@props
+@given(data=st.data(), shape=array_shapes, rows=st.integers(1, 3),
+       bad=st.sampled_from(["1.5", True, False, float("nan"), float("inf"), -float("inf")]))
+def test_numbers_reject_a_planted_non_number(data, shape, rows, bad):
+    size = rows * int(np.prod(shape))
+    flat = data.draw(st.lists(json_numbers, min_size=size, max_size=size))
+    flat[data.draw(st.integers(0, size - 1))] = bad
+    with pytest.raises(ValueError, match=r"x: expected a number|x contains non-finite values"):
+        numbers(_nested(flat, (rows, *shape)), shape, "x")
+
+
+def test_numbers_reject_a_wrong_shape():
+    with pytest.raises(ValueError, match=r"x must have shape \(21, 2\), got \(20, 2\)"):
+        numbers([[[0.0, 0.0]] * 20], (21, 2), "x")
+    with pytest.raises(ValueError, match=r"x must have shape \(None, 3\), got \(2,\)"):
+        numbers([[[0.0, 0.0, 0.0], [0.0, 0.0]]], (None, 3), "x")
 
 
 @dataclass(frozen=True)
