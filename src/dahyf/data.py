@@ -66,21 +66,24 @@ def load_freihand_annotations(root: str | Path, split: str = "training") -> list
     order = list(FREIHAND_TO_CANONICAL)
     samples = []
     for i, (k_raw, xyz_raw) in enumerate(zip(k_list, xyz_list)):
-        intr = np.asarray(k_raw, dtype=np.float64)
-        xyz = np.asarray(xyz_raw, dtype=np.float64)
-        if intr.shape != (3, 3):
-            raise ValueError(f"sample {i}: intrinsics must be 3x3")
-        if xyz.shape != (21, 3):
-            raise ValueError(f"sample {i}: joints must be 21x3")
+        intr = _sample_array(k_raw, (3, 3), "intrinsics", k_path, i)
+        xyz = _sample_array(xyz_raw, (N_KEYPOINTS, 3), "joints", xyz_path, i)
         if abs(np.linalg.det(intr)) < 1e-9 or intr[0, 0] <= 0 or intr[1, 1] <= 0:
             raise ValueError(f"sample {i}: degenerate intrinsics")
         verts = None
         if verts_list is not None:
-            verts = np.asarray(verts_list[i], dtype=np.float64)
-            if verts.ndim != 2 or verts.shape[1] != 3:
-                raise ValueError(f"sample {i}: vertices must be V x 3")
+            verts = _sample_array(verts_list[i], (None, 3), "vertices", verts_path, i)
         samples.append(HandSample(intrinsics=intr, joints3d=xyz[order], vertices=verts))
     return samples
+
+
+def _sample_array(values, shape: tuple[int | None, ...], name: str, path: Path, i: int) -> np.ndarray:
+    """One sample's array of an annotation file, decoded by `numbers`; an
+    error names the file and the sample."""
+    try:
+        return numbers([values], shape, name)[0]
+    except ValueError as exc:
+        raise ValueError(f"{path}: sample {i}: {exc}") from exc
 
 
 def write_jsonl(records, path: str | Path) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsonrecord import read_json
+from .jsonrecord import field, numbers
 
 N_KEYPOINTS = 21
 N_ROTATIONS = 16
@@ -177,12 +177,16 @@ class HandModelParams:
     def levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(children, their parents) index arrays for each tree depth below
         the wrist: MCP, PIP, DIP, TIP for the hand.  Parents precede their
-        children, so one pass in index order gives every depth."""
+        children, so one pass in index order gives every depth.  Read-only,
+        like a loaded model's arrays, since FK of every clip reads them."""
         depth = np.zeros(N_KEYPOINTS, dtype=np.int64)
         for j in range(1, N_KEYPOINTS):
             depth[j] = depth[self.parent[j]] + 1
         children = [np.flatnonzero(depth == d) for d in range(1, int(depth.max()) + 1)]
-        return tuple((c, self.parent[c]) for c in children)
+        levels = tuple((c, self.parent[c]) for c in children)
+        for index in (a for level in levels for a in level):
+            index.flags.writeable = False
+        return levels
 
 
 def _check_tree(parent: np.ndarray) -> None:
@@ -364,17 +368,54 @@ def bone_vectors(joints: np.ndarray, parent: np.ndarray) -> np.ndarray:
     return pts[children] - pts[parent[children]]
 
 
+# The last model file content loaded and its model: (bytes, HandModelParams).
+_last_load: tuple[bytes, HandModelParams] | None = None
+
+
 def load_model(path: str | Path) -> HandModelParams:
     """Load and validate a hand model file (see the schema in the README).
 
     The file is UTF-8 JSON with fields `version`, `rest_joints`, `parent`,
     `articulated`, `shape_basis`, and an optional `skinning` block.
+
+    Every call reads the file, but parses and validates it only when its
+    bytes differ from those the last model came from; otherwise it returns
+    that same model.  The model is shared, so its arrays are read-only.
+    Keying on the bytes, not on the file's stat, means a rewrite can never
+    return a stale model.  A failed load leaves the last model in place.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"hand model file not found: {path}")
+    global _last_load
     try:
-        doc = read_json(path)
+        with open(path, "rb", buffering=0) as fh:  # unbuffered: one fstat and one read
+            raw = fh.readall()
+    except FileNotFoundError as exc:
+        raise FileNotFoundError(f"hand model file not found: {path}") from exc
+    last = _last_load  # read the slot once, so these bytes are never paired with another thread's model
+    if last is not None and last[0] == raw:
+        return last[1]
+    model = _decode_model(raw)
+    _freeze(model)
+    _last_load = (raw, model)
+    return model
+
+
+def _freeze(record) -> None:
+    """Make a loaded record's arrays, and its skinning block's, read-only."""
+    for value in vars(record).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        elif isinstance(value, SkinningBlock):
+            _freeze(value)
+
+
+def _decode_model(raw: bytes) -> HandModelParams:
+    """The validated model of a model file's bytes; every array is decoded
+    strictly, so a string, a boolean or a fraction where a number or an index
+    belongs is a `ModelFormatError` naming the field."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"model file is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -382,29 +423,48 @@ def load_model(path: str | Path) -> HandModelParams:
     for key in ("version", "rest_joints", "parent", "articulated", "shape_basis"):
         if key not in doc:
             raise ModelFormatError(f"model file missing field '{key}'")
-    if doc["version"] != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported model format version {doc['version']}")
-
-    skinning = None
-    if doc.get("skinning") is not None:
-        sk = doc["skinning"]
+    sk = doc.get("skinning")
+    if sk is not None:
+        if not isinstance(sk, dict):
+            raise ModelFormatError("skinning block must be a JSON object")
         for key in ("vertices", "weights", "vertex_shape_basis", "faces"):
             if key not in sk:
                 raise ModelFormatError(f"skinning block missing field '{key}'")
-        skinning = SkinningBlock(
-            vertices=np.asarray(sk["vertices"], dtype=np.float64),
-            weights=np.asarray(sk["weights"], dtype=np.float64),
-            vertex_shape_basis=np.asarray(sk["vertex_shape_basis"], dtype=np.float64),
-            faces=np.asarray(sk["faces"], dtype=np.int64),
-        )
     try:
-        rest = np.asarray(doc["rest_joints"], dtype=np.float64)
-        parent = np.asarray(doc["parent"], dtype=np.int64)
-        artic = np.asarray(doc["articulated"], dtype=bool)
-        basis = np.asarray(doc["shape_basis"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed model field: {exc}") from exc
-    return HandModelParams(rest, parent, artic, basis, skinning)
+        version = field(doc, "version", int)
+        if version != MODEL_FORMAT_VERSION:
+            raise ModelFormatError(f"unsupported model format version {version}")
+        artic = doc["articulated"]
+        bad = [v for v in artic if type(v) is not bool] if isinstance(artic, list) else [artic]
+        if bad:
+            raise ModelFormatError(f"articulated: expected true or false, got {bad[0]!r}")
+        skinning = None if sk is None else SkinningBlock(
+            vertices=numbers(sk["vertices"], (3,), "skinning.vertices"),
+            weights=numbers(sk["weights"], (N_ROTATIONS,), "skinning.weights"),
+            vertex_shape_basis=numbers(sk["vertex_shape_basis"], (None, 3), "skinning.vertex_shape_basis"),
+            faces=_indices(sk["faces"], (3,), "skinning.faces"),
+        )
+        return HandModelParams(
+            rest_joints=numbers(doc["rest_joints"], (3,), "rest_joints"),
+            parent=_indices(doc["parent"], (), "parent"),
+            articulated=np.array(artic, dtype=bool),
+            shape_basis=numbers(doc["shape_basis"], (N_KEYPOINTS, 3), "shape_basis"),
+            skinning=skinning,
+        )
+    except ModelFormatError:
+        raise
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from exc
+
+
+def _indices(values, shape: tuple[int | None, ...], name: str) -> np.ndarray:
+    """`jsonrecord.numbers` as int64, each value integral under the
+    `JsonRecord` int rule (2 and 2.0 pass, 2.7 and true do not)."""
+    out = numbers(values, shape, name)
+    bad = out[(out != np.round(out)) | (np.abs(out) > 2.0**53)]
+    if bad.size:
+        raise ValueError(f"{name}: expected an integer, got {float(bad[0])!r}")
+    return out.astype(np.int64)
 
 
 def save_model(model: HandModelParams, path: str | Path) -> None:

@@ -53,6 +53,16 @@ class TestFreihandLoader:
         with pytest.raises(ValueError):
             load_freihand_annotations(FIXTURE, split="validation")
 
+    @pytest.mark.parametrize("bad", ["0.069", True])
+    def test_joint_of_wrong_kind_names_file_and_sample(self, tmp_path, bad):
+        for name in ("training_K.json", "training_xyz.json", "training_verts.json"):
+            (tmp_path / name).write_text((FIXTURE / name).read_text())
+        xyz = json.loads((FIXTURE / "training_xyz.json").read_text())
+        xyz[2][7][1] = bad
+        (tmp_path / "training_xyz.json").write_text(json.dumps(xyz))
+        with pytest.raises(ValueError, match=r"training_xyz\.json: sample 2: joints: expected a number"):
+            load_freihand_annotations(tmp_path)
+
 
 class TestJsonl:
     def test_roundtrip(self, tmp_path):

@@ -1,7 +1,12 @@
 import json
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dahyf.hand_model import (
     PARENT_TREE,
@@ -13,6 +18,7 @@ from dahyf.hand_model import (
     canonicalize_axis_angle,
     forward_kinematics,
     load_model,
+    posed_joints,
     rodrigues,
     save_model,
     shaped_rest_joints,
@@ -82,6 +88,119 @@ class TestModelLoading:
         artic[4] = True  # 17 flags
         with pytest.raises(ModelFormatError, match="exactly 16"):
             HandModelParams(toy_model.rest_joints, toy_model.parent, artic, toy_model.shape_basis)
+
+
+def _write_model(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestStrictModelDecoding:
+    """A value of the wrong kind is a ModelFormatError naming its field,
+    where raw `np.asarray` once converted it."""
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d["rest_joints"][5].__setitem__(1, "0.09"), "rest_joints"),
+        (lambda d: d["parent"].__setitem__(3, 2.7), "parent"),
+        (lambda d: d["articulated"].__setitem__(2, "no"), "articulated"),
+        (lambda d: d.__setitem__("version", True), "version"),
+        (lambda d: d["skinning"]["faces"][0].__setitem__(1, 1.5), "skinning.faces"),
+    ], ids=["string_number", "fractional_parent", "string_flag", "boolean_version", "fractional_face"])
+    def test_wrong_kind_names_field(self, tmp_path, edit, field):
+        doc = json.loads(bundled_model_path().read_text())
+        edit(doc)
+        with pytest.raises(ModelFormatError, match=field):
+            load_model(_write_model(tmp_path / "bad.model", doc))
+
+    def test_integral_floats_are_indices(self, toy_model, tmp_path):
+        doc = json.loads(bundled_model_path().read_text())
+        doc["parent"] = [float(p) for p in doc["parent"]]
+        np.testing.assert_array_equal(load_model(_write_model(tmp_path / "f.model", doc)).parent, toy_model.parent)
+
+    def test_bad_utf8_is_format_error(self, tmp_path):
+        path = tmp_path / "latin1.model"
+        path.write_bytes(bundled_model_path().read_bytes() + b" \xff")
+        with pytest.raises(ModelFormatError, match="UTF-8"):
+            load_model(path)
+
+    def test_bad_json_is_format_error(self, tmp_path):
+        path = tmp_path / "cut.model"
+        path.write_bytes(bundled_model_path().read_bytes()[:-1])
+        with pytest.raises(ModelFormatError, match="not valid JSON"):
+            load_model(path)
+
+
+class TestModelCache:
+    """`load_model` parses each file content once and shares the model."""
+
+    def _doc(self, marker):
+        doc = json.loads(bundled_model_path().read_text())
+        doc["rest_joints"][5][1] = marker
+        return doc
+
+    def test_unchanged_bytes_give_same_object(self, tmp_path):
+        path = _write_model(tmp_path / "a.model", self._doc(0.0123451))
+        assert load_model(path) is load_model(path)
+
+    def test_same_size_rewrite_loads_new_values(self, tmp_path):
+        path = _write_model(tmp_path / "a.model", self._doc(0.0123451))
+        before = os.stat(path)
+        first = load_model(path)
+        text = path.read_text()
+        path.write_text(text.replace("0.0123451", "0.0123457"))  # same size, same inode
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))  # and the same mtime
+        again = os.stat(path)
+        assert (again.st_size, again.st_ino, again.st_mtime_ns) == (before.st_size, before.st_ino, before.st_mtime_ns)
+        second = load_model(path)
+        assert first.rest_joints[5, 1] == 0.0123451
+        assert second.rest_joints[5, 1] == 0.0123457
+
+    def test_failed_load_keeps_last_model(self, tmp_path):
+        path = _write_model(tmp_path / "a.model", self._doc(0.0123451))
+        first = load_model(path)
+        path.write_text("{")
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+        _write_model(path, self._doc(0.0123451))
+        assert load_model(path) is first
+        _write_model(path, self._doc(0.0123457))
+        assert load_model(path).rest_joints[5, 1] == 0.0123457
+
+    def test_threads_get_the_model_of_the_bytes_they_read(self, tmp_path):
+        markers = (0.0123451, 0.0123457)
+        paths = [_write_model(tmp_path / f"{i}.model", self._doc(m)) for i, m in enumerate(markers)]
+        wrong, done = [], []
+
+        def worker(k):
+            for i in range(20):
+                j = (i + k) % 2
+                if load_model(paths[j]).rest_joints[5, 1] != markers[j]:
+                    wrong.append((k, i))
+            done.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == [0, 1, 2, 3] and wrong == []
+
+    def test_loaded_arrays_are_read_only(self, toy_model):
+        for arr in (toy_model.rest_joints, toy_model.parent, toy_model.articulated, toy_model.shape_basis,
+                    toy_model.skinning.vertices, toy_model.skinning.faces, *toy_model.levels[1]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
+    def test_caller_arrays_stay_writable(self, toy_model):
+        rest = toy_model.rest_joints.copy()
+        model = HandModelParams(rest, toy_model.parent, toy_model.articulated, toy_model.shape_basis)
+        assert model.rest_joints is rest and rest.flags.writeable
 
 
 class TestRotations:
@@ -184,6 +303,21 @@ class TestForwardKinematics:
             wrist = base[0]
             expected = (base - wrist) @ rodrigues(extra).T + wrist
             assert np.abs(rotated - expected).max() < 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(t=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 3.0))
+    def test_stack_keeps_bones_and_wrist(self, toy_model, t, seed, spread):
+        rng = np.random.default_rng(seed)
+        betas = rng.normal(0, 1.0, (t, 10))
+        joints = posed_joints(toy_model, betas, rng.normal(0, spread, (t, 16, 3)))
+        rest = shaped_rest_joints(toy_model, betas)
+        children = np.arange(1, 21)
+
+        def lengths(j):
+            return np.linalg.norm(j[:, children] - j[:, toy_model.parent[children]], axis=-1)
+
+        np.testing.assert_allclose(lengths(joints), lengths(rest), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(joints[:, 0], rest[:, 0])
 
 
 class TestSkinning:

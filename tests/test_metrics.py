@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dahyf.hand_model import rodrigues
 from dahyf.metrics import (
     epe_2d,
     f_score,
@@ -66,6 +69,38 @@ class TestProcrustes:
             procrustes_align(line, line)
         with pytest.raises(ValueError):
             procrustes_align(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+class TestProcrustesProperties:
+    """The alignment of pred onto gt is a property of the point sets, not of
+    where pred sits, how it is sized or oriented, or the order of the points."""
+
+    props = settings(max_examples=40, deadline=None)
+    seeds = st.integers(0, 2**32 - 1)
+    vec3 = st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3)
+
+    @staticmethod
+    def _pair(seed, n=21):
+        rng = np.random.default_rng(seed)
+        g = hand_like_cloud(rng, n)
+        return g @ random_rotation(rng).T + rng.normal(0, 0.01, g.shape), g
+
+    @props
+    @given(seed=seeds, axis_angle=vec3, log_scale=st.floats(-2.0, 2.0), shift=vec3)
+    def test_invariant_to_similarity_of_pred(self, seed, axis_angle, log_scale, shift):
+        p, g = self._pair(seed)
+        moved = np.exp(log_scale) * p @ rodrigues(np.array(axis_angle)).T + np.array(shift)
+        np.testing.assert_allclose(procrustes_align(moved, g).aligned_points,
+                                   procrustes_align(p, g).aligned_points, rtol=0, atol=1e-12)
+
+    @props
+    @given(seed=seeds, perm=st.integers(3, 30).flatmap(lambda n: st.permutations(range(n))))
+    def test_invariant_to_point_order(self, seed, perm):
+        p, g = self._pair(seed, len(perm))
+        a, b = procrustes_align(p, g), procrustes_align(p[perm], g[perm])
+        np.testing.assert_allclose(b.aligned_points, a.aligned_points[perm], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.rotation, a.rotation, rtol=0, atol=1e-12)
+        assert b.scale == pytest.approx(a.scale, rel=1e-12)
 
 
 class TestJointErrors:

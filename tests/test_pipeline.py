@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from dahyf.arrayio import write_coord_array
 from dahyf.cli import main
 from dahyf.codec import CodecConfig, encode_labels, log_probs
 from dahyf.data import read_jsonl, synth_sequence, write_jsonl
+from dahyf.hand_model import posed_joints, save_model
 from dahyf.pipeline import PipelineConfig, load_config, run_pipeline, save_config
 from dahyf.tempfilter import FilterConfig, SmoothingConfig
 
@@ -168,6 +170,18 @@ class TestRunPipeline:
         config = PipelineConfig(model_path=str(tmp_path / "nowhere.model"))
         with pytest.raises(FileNotFoundError, match="nowhere.model"):
             run_pipeline(config, obs, tmp_path / "out.jsonl")
+
+    def test_rewritten_model_is_reloaded(self, toy_model, clean_sequence, tmp_path):
+        _, obs = clean_sequence
+        model_path = tmp_path / "hand.model"
+        config = PipelineConfig(model_path=str(model_path))
+        bigger = replace(toy_model, rest_joints=toy_model.rest_joints * 1.25)
+        for model in (toy_model, bigger):
+            save_model(model, model_path)
+            run_pipeline(config, obs, tmp_path / "out.jsonl")
+            docs = read_jsonl(tmp_path / "out.jsonl")
+            expected = posed_joints(model, np.array([d["shape"] for d in docs]), np.array([d["pose"] for d in docs]))
+            np.testing.assert_allclose([d["joints3d"] for d in docs], expected, rtol=0, atol=1e-12)
 
     def test_smoothing_engages(self, toy_model, tmp_path):
         seq = synth_sequence(toy_model, 20, noise_px=2.0, outlier_rate=0.0, seed=5)
