@@ -13,6 +13,7 @@ frame, which projects (T, N, 3) point stacks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,11 @@ class WeakCamera(JsonRecord):
     tx: float
     ty: float
 
-    def __post_init__(self):
-        if not np.isfinite([self.scale, self.tx, self.ty]).all():
+    @staticmethod
+    def check(scale, tx, ty) -> None:
+        if not (math.isfinite(scale) and math.isfinite(tx) and math.isfinite(ty)):
             raise ValueError("weak camera parameters must be finite")
-        if self.scale <= 0:
+        if scale <= 0:
             raise ValueError("weak camera scale must be positive")
 
 
@@ -81,8 +83,6 @@ def weak_to_full(weak: WeakCamera | np.ndarray, spec: PatchSpec | SpecColumns) -
         RowError.check(~np.isfinite(rows).all(axis=1) | (rows[:, 0] <= 0),
                        "weak camera parameters must be finite with positive scale")
         scale, head_x, head_y = rows.T
-    if np.any(np.asarray(spec.patch_size) <= 0):
-        raise ValueError("patch_size must be positive")
     f = spec.focal_or_default
     cx, cy = spec.center
     ox, oy = spec.frame_w / 2.0, spec.frame_h / 2.0

@@ -68,7 +68,7 @@ def cosine_confidence(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
         va, vb = va.reshape(-1), vb.reshape(-1)
     if va.shape != vb.shape:
         raise ValueError("joint vectors must have matching length")
-    na, nb = np.linalg.norm(va, axis=-1), np.linalg.norm(vb, axis=-1)
+    na, nb = np.sqrt(np.add.reduce(va * va, axis=-1)), np.sqrt(np.add.reduce(vb * vb, axis=-1))  # the 2-norms
     DegenerateJointsError.check((na < DEGENERATE_NORM) | (nb < DEGENERATE_NORM),
                                 "joint vector norm below 1e-12; all joints centered")
     cos = np.clip(np.einsum("...d,...d->...", va, vb) / (na * nb), -1.0, 1.0)

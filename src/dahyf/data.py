@@ -222,7 +222,7 @@ def synth_sequence(
     joints2d = frame_to_patch_abs(project_points(joints3d, weak_to_full(weak, columns)), columns)
     gt = FrameArrays(
         frame_index=np.arange(n_frames, dtype=np.int64), rotations=rotations, betas=betas, weak=weak,
-        joints2d=joints2d, specs=specs, confidence=np.full(n_frames, np.nan),
+        joints2d=joints2d, specs=columns, confidence=np.full(n_frames, np.nan),
         unreliable=np.zeros(n_frames, dtype=bool), replaced_from=np.full(n_frames, NOT_REPLACED),
     )
 

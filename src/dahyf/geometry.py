@@ -19,7 +19,8 @@ whole clip: given a `SpecColumns` (T specs as columns) in place of a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -39,9 +40,9 @@ class RowError(ValueError):
     def check(cls, bad, message: str) -> None:
         """Raise for the first row whose flag in `bad` (a bool, or one per
         row of a stack) is set."""
-        bad = np.reshape(bad, -1)
+        bad = np.asarray(bad)
         if bad.any():
-            raise cls(message, int(np.argmax(bad)))
+            raise cls(message, int(np.argmax(bad.ravel())))
 
 
 @dataclass(frozen=True)
@@ -67,17 +68,21 @@ class PatchSpec(JsonRecord):
     flipped: bool = False
 
     def __post_init__(self):
-        if self.frame_w <= 0 or self.frame_h <= 0:
-            raise ValueError("frame dimensions must be positive")
-        if self.patch_size <= 0:
-            raise ValueError("patch_size must be positive")
-        if self.net_size <= 0 or self.feat_size <= 0:
-            raise ValueError("net_size and feat_size must be positive")
-        if self.focal is not None and self.focal <= 0:
-            raise ValueError("focal must be positive when given")
-        if self.handedness not in ("left", "right"):
-            raise ValueError(f"handedness must be 'left' or 'right', got {self.handedness!r}")
+        super().__post_init__()
         object.__setattr__(self, "upper_left", (float(self.upper_left[0]), float(self.upper_left[1])))
+
+    @staticmethod
+    def check(frame_w, frame_h, upper_left, patch_size, net_size, feat_size, focal, handedness, flipped) -> None:
+        if frame_w <= 0 or frame_h <= 0:
+            raise ValueError("frame dimensions must be positive")
+        if not patch_size > 0:
+            raise ValueError("patch_size must be positive")
+        if net_size <= 0 or feat_size <= 0:
+            raise ValueError("net_size and feat_size must be positive")
+        if focal is not None and not focal > 0:  # NaN too: it marks a missing focal in SpecColumns
+            raise ValueError("focal must be positive when given")
+        if handedness not in ("left", "right"):
+            raise ValueError(f"handedness must be 'left' or 'right', got {handedness!r}")
 
     @property
     def focal_or_default(self) -> float:
@@ -92,40 +97,76 @@ class PatchSpec(JsonRecord):
 
 @dataclass(frozen=True)
 class SpecColumns:
-    """T patch specs as columns, under PatchSpec's names: every scalar is a
-    (T,) array and every (x, y) pair a tuple of two (T,) arrays.  The spec
-    consumers accept it in place of a PatchSpec and then map (T, …) stacks,
-    row t with spec t."""
+    """T patch specs as columns, under PatchSpec's names: every field is a
+    (T,) array, `focal` NaN where a spec has none, and the `upper_left` pair
+    a tuple of two (T,) arrays.  The spec consumers accept it in place of a
+    PatchSpec and then map (T, …) stacks, row t with spec t.  Build it with
+    `of` or `stack`, which take checked values."""
 
-    frame_w: np.ndarray
-    frame_h: np.ndarray
+    frame_w: np.ndarray                      # int64
+    frame_h: np.ndarray                      # int64
     upper_left: tuple[np.ndarray, np.ndarray]
     patch_size: np.ndarray
-    net_size: np.ndarray
-    focal_or_default: np.ndarray
+    net_size: np.ndarray                     # int64
+    feat_size: np.ndarray                    # int64
+    focal: np.ndarray                        # NaN where none is given
+    handedness: np.ndarray                   # str
+    flipped: np.ndarray                      # bool
+
+    @classmethod
+    def of(cls, rows: Sequence[tuple]) -> "SpecColumns":
+        """Columns of specs given as tuples of their checked field values, as
+        `PatchSpec.columns` gives them; a None focal becomes NaN."""
+        if len(rows) == 0:
+            raise ValueError("need at least one spec to stack")
+        w, h, upper_left, size, net, feat, focal, handedness, flipped = zip(*rows)
+        ulx, uly = np.array(upper_left, dtype=np.float64).T
+        return cls(
+            np.array(w, dtype=np.int64), np.array(h, dtype=np.int64), (ulx, uly), np.array(size, dtype=np.float64),
+            np.array(net, dtype=np.int64), np.array(feat, dtype=np.int64), np.array(focal, dtype=np.float64),
+            np.array(handedness, dtype=str), np.array(flipped, dtype=bool),
+        )
 
     @classmethod
     def stack(cls, specs: Sequence[PatchSpec]) -> "SpecColumns":
-        if len(specs) == 0:
-            raise ValueError("need at least one spec to stack")
-        w, h, ulx, uly, size, net, focal = np.array(
-            [(s.frame_w, s.frame_h, *s.upper_left, s.patch_size, s.net_size, s.focal_or_default) for s in specs],
-            dtype=np.float64,
-        ).T
-        return cls(w, h, (ulx, uly), size, net, focal)
+        return cls.of([_field_values(s) for s in specs])
+
+    def __eq__(self, other):
+        return isinstance(other, SpecColumns) and self.to_dicts() == other.to_dicts()
 
     def rows(self, index: np.ndarray) -> "SpecColumns":
         """The columns of the specs at `index`, an integer array."""
-        return SpecColumns(
-            self.frame_w[index], self.frame_h[index], (self.upper_left[0][index], self.upper_left[1][index]),
-            self.patch_size[index], self.net_size[index], self.focal_or_default[index],
-        )
+        return SpecColumns(*(tuple(c[index] for c in col) if isinstance(col, tuple) else col[index]
+                             for col in _field_values(self)))
+
+    def _json_rows(self):
+        """Per spec, its field values in JSON form."""
+        focal = [None if math.isnan(f) else f for f in self.focal.tolist()]
+        return zip(self.frame_w.tolist(), self.frame_h.tolist(),
+                   map(list, zip(self.upper_left[0].tolist(), self.upper_left[1].tolist())),
+                   self.patch_size.tolist(), self.net_size.tolist(), self.feat_size.tolist(), focal,
+                   self.handedness.tolist(), self.flipped.tolist())
+
+    def to_dicts(self) -> list[dict]:
+        """Each spec's `PatchSpec.to_dict`."""
+        return PatchSpec.dicts(self._json_rows())
+
+    def to_specs(self) -> list[PatchSpec]:
+        return [PatchSpec(*row) for row in self._json_rows()]
+
+    @property
+    def focal_or_default(self) -> np.ndarray:
+        return np.where(np.isnan(self.focal), np.hypot(self.frame_w, self.frame_h), self.focal)
 
     @property
     def center(self) -> tuple[np.ndarray, np.ndarray]:
         """Patch centers in absolute frame pixels."""
         half = self.patch_size / 2.0
         return (self.upper_left[0] + half, self.upper_left[1] + half)
+
+
+def _field_values(record) -> tuple:
+    return tuple(getattr(record, f.name) for f in fields(record))
 
 
 def per_point(value):
@@ -136,7 +177,7 @@ def per_point(value):
     so that row t of a (T, K, 2) stack meets spec t.
     """
     if isinstance(value, tuple):
-        pair = np.stack(value, axis=-1)
+        pair = np.array(value).T  # (2,), or (T, 2) from two columns
         return pair[:, None, :] if pair.ndim == 2 else pair
     return value[:, None, None] if np.ndim(value) else value
 

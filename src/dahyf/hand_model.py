@@ -38,6 +38,9 @@ TIP_INDICES = (4, 8, 12, 16, 20)
 ARTICULATED_MASK = tuple(i not in TIP_INDICES for i in range(N_KEYPOINTS))
 
 _SMALL_ANGLE = 1e-8
+_EYE = np.eye(3)
+_EYE.flags.writeable = False
+_SKEW_ENTRIES = np.array([0, 6, 2, 3, 0, 4, 5, 1, 0])
 
 MODEL_FORMAT_VERSION = 1
 
@@ -188,6 +191,32 @@ class HandModelParams:
             index.flags.writeable = False
         return levels
 
+    @cached_property
+    def fk_schedule(self) -> tuple[np.ndarray, np.ndarray, bool, tuple]:
+        """`levels` as FK walks them: every bone's child and parent index
+        arrays, level after level; whether some joint composes the identity
+        as its local rotation; and per level (children, parents, the level's
+        slice of the bones, and the row of each child's local rotation: its
+        index among the articulated joints, N_ROTATIONS for the identity).
+        The rows are None for a level whose joints carry no rotation and have
+        no children, since no world rotation of theirs is read.  Read-only,
+        like `levels`."""
+        rotation_row = np.full(N_KEYPOINTS, N_ROTATIONS)
+        rotation_row[self.articulated_indices] = np.arange(N_ROTATIONS)
+        rotation_read = self.articulated.copy()  # by skinning, and by FK for the children
+        rotation_read[self.parent[1:]] = True
+        steps, start = [], 0
+        for children, parents in self.levels:
+            rows = rotation_row[children] if rotation_read[children].any() else None
+            steps.append((children, parents, slice(start, start + len(children)), rows))
+            start += len(children)
+        bone_children = np.concatenate([children for children, _ in self.levels])
+        schedule = (bone_children, self.parent[bone_children],
+                    any(rows is not None and (rows == N_ROTATIONS).any() for *_, rows in steps), tuple(steps))
+        for index in (schedule[0], schedule[1], *(rows for *_, rows in steps if rows is not None)):
+            index.flags.writeable = False
+        return schedule
+
 
 def _check_tree(parent: np.ndarray) -> None:
     """Validate that `parent` encodes a single-rooted tree with root 0 in
@@ -214,23 +243,17 @@ def rodrigues(axis_angle: np.ndarray) -> np.ndarray:
     aa = np.asarray(axis_angle, dtype=np.float64)
     if aa.shape[-1] != 3:
         raise ValueError("axis-angle vectors must have 3 components")
-    theta = np.linalg.norm(aa, axis=-1)
+    theta = np.sqrt(np.add.reduce(aa * aa, axis=-1))  # np.linalg.norm(aa, axis=-1), bit for bit
     t2 = theta * theta
     small = theta < _SMALL_ANGLE
     safe_theta = np.where(small, 1.0, theta)
     sin_coeff = np.where(small, 1.0 - t2 / 6.0, np.sin(safe_theta) / safe_theta)
     cos_coeff = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(safe_theta)) / (safe_theta * safe_theta))
 
-    k = np.zeros(aa.shape[:-1] + (3, 3))
-    k[..., 0, 1] = -aa[..., 2]
-    k[..., 0, 2] = aa[..., 1]
-    k[..., 1, 0] = aa[..., 2]
-    k[..., 1, 2] = -aa[..., 0]
-    k[..., 2, 0] = -aa[..., 1]
-    k[..., 2, 1] = aa[..., 0]
-
-    eye = np.broadcast_to(np.eye(3), k.shape)
-    return eye + sin_coeff[..., None, None] * k + cos_coeff[..., None, None] * (k @ k)
+    # the skew matrix [a]x, its entries picked from (0, ax, ay, az, -ax, -ay, -az)
+    k = np.concatenate((np.zeros(aa.shape[:-1] + (1,)), aa, -aa), axis=-1)[..., _SKEW_ENTRIES]
+    k = k.reshape(aa.shape[:-1] + (3, 3))
+    return _EYE + sin_coeff[..., None, None] * k + cos_coeff[..., None, None] * (k @ k)
 
 
 def so3_log(rotation: np.ndarray) -> np.ndarray:
@@ -311,7 +334,8 @@ def posed_joints(model: HandModelParams, betas: np.ndarray, rotations: np.ndarra
 
 def _forward_transforms(model, betas, rotations):
     """FK core over T frames: world positions (T, 21, 3) and world rotations
-    (T, 21, 3, 3).
+    (T, 21, 3, 3).  A joint that carries no rotation and has no children
+    has none that anything reads, so it is left NaN.
 
     One batched step per tree depth composes every joint of that depth with
     its parent's world transform, as in MANO's batched rigid transforms.
@@ -323,18 +347,21 @@ def _forward_transforms(model, betas, rotations):
     if rotations.shape != (betas.shape[0], N_ROTATIONS, 3):
         raise ValueError(f"rotations must be ({betas.shape[0]}, {N_ROTATIONS}, 3), got {rotations.shape}")
     rest = shaped_rest_joints(model, betas)
-    local_rot = np.broadcast_to(np.eye(3), rest.shape + (3,)).copy()
-    local_rot[:, model.articulated_indices] = rodrigues(rotations)
+    local_rot = rodrigues(rotations)  # row r for articulated joint r
+    bone_children, bone_parents, identity, steps = model.fk_schedule
+    if identity:
+        local_rot = np.concatenate((local_rot, np.broadcast_to(_EYE, (len(rest), 1, 3, 3))), axis=1)
+    bones = rest[:, bone_children] - rest[:, bone_parents]
 
     positions = np.empty_like(rest)
-    world_rot = np.empty_like(local_rot)
+    world_rot = np.full(rest.shape + (3,), np.nan)
     positions[:, 0] = rest[:, 0]
-    world_rot[:, 0] = local_rot[:, 0]
-    for children, parents in model.levels:
+    world_rot[:, 0] = local_rot[:, 0]  # the wrist carries rotation 0
+    for children, parents, bone_rows, rotation_rows in steps:
         parent_rot = world_rot[:, parents]
-        world_rot[:, children] = parent_rot @ local_rot[:, children]
-        bones = rest[:, children] - rest[:, parents]
-        positions[:, children] = (parent_rot @ bones[..., None])[..., 0] + positions[:, parents]
+        if rotation_rows is not None:
+            world_rot[:, children] = parent_rot @ local_rot[:, rotation_rows]
+        positions[:, children] = (parent_rot @ bones[:, bone_rows, :, None])[..., 0] + positions[:, parents]
     return positions, world_rot
 
 
@@ -420,16 +447,12 @@ def _decode_model(raw: bytes) -> HandModelParams:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
-    for key in ("version", "rest_joints", "parent", "articulated", "shape_basis"):
-        if key not in doc:
-            raise ModelFormatError(f"model file missing field '{key}'")
+    _check_keys(doc, ("version", "rest_joints", "parent", "articulated", "shape_basis"), ("skinning",), "model file")
     sk = doc.get("skinning")
     if sk is not None:
         if not isinstance(sk, dict):
             raise ModelFormatError("skinning block must be a JSON object")
-        for key in ("vertices", "weights", "vertex_shape_basis", "faces"):
-            if key not in sk:
-                raise ModelFormatError(f"skinning block missing field '{key}'")
+        _check_keys(sk, ("vertices", "weights", "vertex_shape_basis", "faces"), (), "skinning block")
     try:
         version = field(doc, "version", int)
         if version != MODEL_FORMAT_VERSION:
@@ -455,6 +478,17 @@ def _decode_model(raw: bytes) -> HandModelParams:
         raise
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
+
+
+def _check_keys(doc: dict, required: tuple, optional: tuple, where: str) -> None:
+    """Every required key present and no key beyond the optional ones, so a
+    misspelled block fails here rather than loading as absent."""
+    for key in required:
+        if key not in doc:
+            raise ModelFormatError(f"{where} missing field '{key}'")
+    unknown = doc.keys() - set(required) - set(optional)
+    if unknown:
+        raise ModelFormatError(f"unknown key {min(unknown)!r} in {where}")
 
 
 def _indices(values, shape: tuple[int | None, ...], name: str) -> np.ndarray:

@@ -32,9 +32,20 @@ class JsonRecord:
     takes the field's default or raises a KeyError; an unknown key or a value
     of the wrong kind raises a ValueError.  Each names the key by its dotted
     path, such as `weak.tx` inside a nested record.
+
+    A subclass that `columns` reads states its range checks in `check`, once:
+    the record runs it when built, and `columns` on each doc's values.
     """
 
     format_version: int | None = None  # set, unannotated, by a versioned subclass
+
+    def __post_init__(self):
+        self.check(*(getattr(self, name) for name in _table(type(self))[1]))
+
+    @staticmethod
+    def check(*values) -> None:
+        """Raise a ValueError for field values, in declaration order, that
+        the record refuses."""
 
     def to_dict(self) -> dict:
         head, fields, _ = _table(type(self))
@@ -56,12 +67,51 @@ class JsonRecord:
         if not doc.keys() <= known:
             raise ValueError(f"unknown key {min(doc.keys() - known)!r} for {cls.__name__}")
         kwargs = {}
-        for name, (decode, required) in fields.items():
+        for name, (decode, _, f) in fields.items():
             if name in doc:
                 kwargs[name] = _convert(name, decode, doc[name])
-            elif required:
+            elif _required(f):
                 raise KeyError(name)
         return cls(**kwargs)
+
+    @classmethod
+    def columns(cls, docs: Sequence, strict: bool = True) -> list[list]:
+        """Per field, in declaration order, the list of its values in `docs`,
+        converted and checked as `from_dict` would but without building a
+        record: a nested record's column holds a tuple of its field values
+        per doc.  With `strict=False` unknown keys are ignored.  A record
+        that fails does so as it would in `from_dict`."""
+        _, fields, known = _table(cls)
+        for doc in docs:
+            if not isinstance(doc, dict):
+                raise ValueError(f"expected a JSON object for {cls.__name__}, got {doc!r}")
+            if strict and not doc.keys() <= known:
+                raise ValueError(f"unknown key {min(doc.keys() - known)!r} for {cls.__name__}")
+        columns = []
+        for name, (_, decode_column, f) in fields.items():
+            column = _convert(name, decode_column, [doc[name] for doc in docs if name in doc])
+            if len(column) < len(docs):
+                if _required(f):
+                    raise KeyError(name)
+                default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+                present = iter(column)
+                column = [next(present) if name in doc else default for doc in docs]
+            columns.append(column)
+        for values in zip(*columns):
+            cls.check(*values)
+        return columns
+
+    @classmethod
+    def dicts(cls, rows) -> list[dict]:
+        """`to_dict` of each record in `rows`, a record given as the tuple of
+        its field values in declaration order, each already in JSON form."""
+        head, fields, _ = _table(cls)
+        keys, first = (*head, *fields), tuple(head.values())
+        return [dict(zip(keys, first + tuple(row))) for row in rows]
+
+
+def _required(f: dataclasses.Field) -> bool:
+    return f.default is f.default_factory is dataclasses.MISSING
 
 
 class FieldError(ValueError):
@@ -74,13 +124,22 @@ class FieldError(ValueError):
 
 @functools.cache
 def _table(cls: type) -> tuple[dict, dict, frozenset]:
-    """The class's `format_version` head, {field: (decode, required)} and
-    known keys, built once: resolving annotations costs more than a `to_dict`."""
+    """The class's `format_version` head, {field: (decode, decode_column,
+    dataclass field)} and known keys, built once: resolving annotations
+    costs more than a `to_dict`."""
     hints = typing.get_type_hints(cls)
     head = {} if cls.format_version is None else {"format_version": cls.format_version}
-    fields = {f.name: (_decoder(hints[f.name]), f.default is f.default_factory is dataclasses.MISSING)
-              for f in dataclasses.fields(cls)}
+    fields = {f.name: (_decoder(hints[f.name]), _column_decoder(hints[f.name]), f) for f in dataclasses.fields(cls)}
     return head, fields, frozenset(fields) | {"format_version"}
+
+
+def _column_decoder(tp):
+    """The function giving a field's values from a list of JSON forms: a
+    record's as tuples through its `columns`, any other by `_decoder`."""
+    if isinstance(tp, type) and issubclass(tp, JsonRecord):
+        return lambda values: list(zip(*tp.columns(values)))
+    decode = _decoder(tp)
+    return lambda values: [decode(v) for v in values]
 
 
 def _check(ok: bool, what: str, value):

@@ -52,21 +52,22 @@ def procrustes_align(pred: np.ndarray, gt: np.ndarray) -> AlignmentResult:
         p, g = p[None], g[None]
 
     n = p.shape[1]
-    mu_p = p.mean(axis=1)
-    mu_g = g.mean(axis=1)
+    mu_p = np.add.reduce(p, axis=1) / n  # p.mean(axis=1), bit for bit, as every mean here
+    mu_g = np.add.reduce(g, axis=1) / n
     pc = p - mu_p[:, None]
     gc = g - mu_g[:, None]
-    var_p = (pc**2).sum(axis=(1, 2)) / n
+    var_p = np.add.reduce(pc * pc, axis=(1, 2)) / n
     RowError.check(var_p < 1e-18, "degenerate point set: zero spread")
 
     cov = pc.transpose(0, 2, 1) @ gc / n
     u, s, vt = np.linalg.svd(cov)
-    RowError.check(np.count_nonzero(s > 1e-12 * np.maximum(s[:, :1], 1e-300), axis=1) < 2,
-                   "degenerate point set: rank < 2")
+    # rank < 2: fewer than two singular values above 1e-12 of the largest
+    RowError.check(~(s[:, 1] > 1e-12 * np.maximum(s[:, 0], 1e-300)), "degenerate point set: rank < 2")
+    det_u, det_vt = np.linalg.det(np.stack((u, vt)))
     sign = np.ones_like(s)
-    sign[:, -1] = np.where(np.linalg.det(u) * np.linalg.det(vt) < 0, -1.0, 1.0)
+    sign[:, -1] = np.where(det_u * det_vt < 0, -1.0, 1.0)
     rotation = ((u * sign[:, None, :]) @ vt).transpose(0, 2, 1)  # maps pred frame into gt frame
-    scale = (s * sign).sum(axis=1) / var_p
+    scale = np.add.reduce(s * sign, axis=1) / var_p
     translation = mu_g - ((scale[:, None, None] * rotation) @ mu_p[:, :, None])[:, :, 0]
     aligned = (scale[:, None, None] * p) @ rotation.transpose(0, 2, 1) + translation[:, None, :]
     if single:
@@ -74,9 +75,20 @@ def procrustes_align(pred: np.ndarray, gt: np.ndarray) -> AlignmentResult:
     return AlignmentResult(rotation=rotation, scale=scale, translation=translation, aligned_points=aligned)
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a - b, axis=-1), bit for bit, in fewer calls."""
+    d = a - b
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
+
+
+def _mean(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=-1), bit for bit, in fewer calls."""
+    return np.add.reduce(x, axis=-1) / x.shape[-1]
+
+
 def _mean_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Mean point distance per set: a float for one set, (T,) for a stack."""
-    d = np.linalg.norm(a - b, axis=-1).mean(axis=-1)
+    d = _mean(_distances(a, b))
     return float(d) if d.ndim == 0 else d
 
 
@@ -149,17 +161,32 @@ def pck_curve(pred: np.ndarray, gt: np.ndarray, thresholds_mm: np.ndarray) -> li
     g = np.asarray(gt, dtype=np.float64)
     if len(p) == 0 or p.shape != g.shape:
         raise ValueError("need equally many non-empty pred and gt samples of one shape")
-    pooled = np.linalg.norm(p - g, axis=-1).ravel() * MM_PER_M
-    return [(float(t), float(np.mean(pooled <= t))) for t in np.asarray(thresholds_mm, dtype=np.float64)]
+    return _pck(_distances(p, g), thresholds_mm)
+
+
+def _pck(distances: np.ndarray, thresholds_mm) -> list[tuple[float, float]]:
+    """The PCK curve of point distances in meters, every threshold in one comparison."""
+    thresholds = np.asarray(thresholds_mm, dtype=np.float64)
+    pooled = distances.reshape(1, -1) * MM_PER_M
+    fractions = np.count_nonzero(pooled <= thresholds[:, None], axis=1) / pooled.size
+    return list(zip(thresholds.tolist(), fractions.tolist()))
 
 
 def summarize(pred3d: np.ndarray, gt3d: np.ndarray) -> dict:
     """The 3D summary of (T, J, 3) prediction and ground-truth stacks that
     `dahyf run` reports and `dahyf eval` computes: MPJPE and PA-MPJPE in mm,
     each the mean over frames, and the PCK curve at PCK_THRESHOLDS_MM."""
-    errs = joint_errors(pred3d, gt3d)
+    p = np.asarray(pred3d, dtype=np.float64)
+    g = np.asarray(gt3d, dtype=np.float64)
+    if p.shape != g.shape:
+        raise ValueError("joint sets must share shape")
+    if len(p) == 0:
+        raise ValueError("need equally many non-empty pred and gt samples of one shape")
+    distances = _distances(p, g)  # joint_errors' raw distances, which the PCK curve pools too
+    mpjpe = _mean(distances) * MM_PER_M
+    pa_mpjpe = _mean(_distances(procrustes_align(p, g).aligned_points, g)) * MM_PER_M
     return {
-        "mpjpe_mm": float(np.mean(errs["mpjpe"])),
-        "pa_mpjpe_mm": float(np.mean(errs["pa_mpjpe"])),
-        "pck": pck_curve(pred3d, gt3d, np.array(PCK_THRESHOLDS_MM)),
+        "mpjpe_mm": float(_mean(mpjpe)),
+        "pa_mpjpe_mm": float(_mean(pa_mpjpe)),
+        "pck": _pck(distances, PCK_THRESHOLDS_MM),
     }

@@ -21,7 +21,7 @@ from .camera import project_points, weak_to_full
 from .codec import CodecConfig, decode_soft_argmax
 from .confidence import cosine_confidence, normalize_pred, normalize_proj
 from .data import match_labels, read_jsonl, write_jsonl
-from .geometry import RowError, SpecColumns, frame_to_patch_abs
+from .geometry import RowError, frame_to_patch_abs
 from .hand_model import N_KEYPOINTS, HandModelParams, load_model, posed_joints
 from .jsonrecord import JsonRecord, read_json, write_json
 from .metrics import epe_2d, summarize
@@ -89,11 +89,11 @@ def _read_clip(in_path: Path, config: PipelineConfig) -> FrameArrays:
         clip = FrameArrays.from_records(docs)
     except ValueError as exc:
         raise RuntimeError(str(exc)) from exc
+    no_focal = np.isnan(clip.specs.focal)
     if config.focal_policy == "sqrt_fallback":
-        return replace(clip, specs=tuple(spec if spec.focal is None else replace(spec, focal=None)
-                                         for spec in clip.specs))
+        return replace(clip, specs=replace(clip.specs, focal=np.full(len(no_focal), np.nan)))
     with _naming_frames(clip.frame_index):
-        RowError.check([s.focal is None for s in clip.specs], "focal_policy 'explicit' requires a focal in the spec")
+        RowError.check(no_focal, "focal_policy 'explicit' requires a focal in the spec")
     return clip
 
 
@@ -106,25 +106,32 @@ def _naming_frames(frame_index: np.ndarray):
         raise RuntimeError(f"frame {frame_index[exc.row]}: {exc}") from exc
 
 
-def _reproject(model: HandModelParams, frame_index, betas, rotations, weak, specs: SpecColumns):
-    """FK joints (T, 21, 3) of T frames' parameters and their frame-pixel
-    projections (T, 21, 2)."""
-    joints3d = posed_joints(model, betas, rotations)
-    with _naming_frames(frame_index):
-        return joints3d, project_points(joints3d, weak_to_full(weak, specs))
-
-
-def _repose_changed(model, raw: FrameArrays, out: FrameArrays, specs: SpecColumns, joints3d, uv):
-    """`_reproject` of `out` given that of `raw`: only the rows whose pose,
-    shape or camera gating and smoothing changed are posed again."""
+def _repose_changed(model, raw: FrameArrays, out: FrameArrays, joints3d, uv):
+    """The FK joints (T, 21, 3) and frame-pixel projections (T, 21, 2) of
+    `out`, given those of `raw`: only the rows whose pose, shape or camera
+    gating and smoothing changed are projected again.  FK is
+    row-independent, so a changed row whose pose and shape equal some raw
+    row's in every bit, as a gated row's equal its donor's, takes that row's
+    joints; only the others are posed again."""
     rows = np.flatnonzero(out.reposed_rows(raw))
     if rows.size == 0:
         return joints3d, uv
+    posed = {key.tobytes(): t for t, key in enumerate(_pose_keys(raw))}
+    source = np.array([posed.get(key.tobytes(), -1) for key in _pose_keys(out)[rows]], dtype=np.int64)
     joints3d, uv = joints3d.copy(), uv.copy()
-    joints3d[rows], uv[rows] = _reproject(
-        model, out.frame_index[rows], out.betas[rows], out.rotations[rows], out.weak[rows], specs.rows(rows)
-    )
+    known = source >= 0
+    joints3d[rows[known]] = joints3d[source[known]]
+    fresh = rows[~known]
+    if fresh.size:
+        joints3d[fresh] = posed_joints(model, out.betas[fresh], out.rotations[fresh])
+    with _naming_frames(out.frame_index[rows]):
+        uv[rows] = project_points(joints3d[rows], weak_to_full(out.weak[rows], out.specs.rows(rows)))
     return joints3d, uv
+
+
+def _pose_keys(clip: FrameArrays) -> np.ndarray:
+    """(T, 58) rows of each frame's rotations and betas: FK's whole input."""
+    return np.concatenate([clip.rotations.reshape(len(clip.rotations), -1), clip.betas], axis=1)
 
 
 def run_pipeline(
@@ -142,14 +149,15 @@ def run_pipeline(
     """
     model = _resolve_model(config)
     raw = _read_clip(Path(in_path), config)
-    specs = SpecColumns.stack(raw.specs)
-    pre_joints3d, pre_uv = _reproject(model, raw.frame_index, raw.betas, raw.rotations, raw.weak, specs)
+    specs = raw.specs
+    pre_joints3d = posed_joints(model, raw.betas, raw.rotations)
     with _naming_frames(raw.frame_index):
+        pre_uv = project_points(pre_joints3d, weak_to_full(raw.weak, specs))
         confidence = cosine_confidence(normalize_pred(raw.joints2d, specs), normalize_proj(pre_uv, specs))
     raw = replace(raw, confidence=confidence)
 
     out = smooth_arrays(gate_arrays(raw, config.filter), config.filter)
-    post_joints3d, post_uv = _repose_changed(model, raw, out, specs, pre_joints3d, pre_uv)
+    post_joints3d, post_uv = _repose_changed(model, raw, out, pre_joints3d, pre_uv)
 
     out_docs = out.to_records()
     for doc, joints3d in zip(out_docs, post_joints3d.tolist()):

@@ -16,13 +16,13 @@ and `to_records` writes it back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .camera import WeakCamera
-from .geometry import PatchSpec
+from .geometry import PatchSpec, SpecColumns
 from .hand_model import N_KEYPOINTS, N_ROTATIONS, N_SHAPE_COEFFS, HandPose, HandShape, canonicalize_axis_angle
 from .jsonrecord import JsonRecord, numbers, parse_rows
 
@@ -67,7 +67,8 @@ class FilterConfig(JsonRecord):
 
 @dataclass(frozen=True)
 class _Scalars(JsonRecord):
-    """The fields of a frame record other than its arrays."""
+    """The fields of a frame record other than its arrays, which
+    `FrameArrays.from_records` reads as columns."""
 
     frame_index: int
     weak: WeakCamera
@@ -76,12 +77,10 @@ class _Scalars(JsonRecord):
     unreliable: bool = False
     replaced_from: int | None = None
 
-    def __post_init__(self):
-        if self.confidence is not None and not -1.0 <= self.confidence <= 1.0:
+    @staticmethod
+    def check(frame_index, weak, spec, confidence, unreliable, replaced_from) -> None:
+        if confidence is not None and not -1.0 <= confidence <= 1.0:
             raise ValueError("confidence must lie in [-1, 1]")
-
-
-_SCALAR_KEYS = tuple(field.name for field in fields(_Scalars))
 
 
 @dataclass(frozen=True)
@@ -105,8 +104,7 @@ class FrameResult:
             raise ValueError(f"joints2d must be (K, 2), got {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("joints2d contains non-finite values")
-        if self.confidence is not None and not -1.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence must lie in [-1, 1]")
+        _Scalars.check(self.frame_index, self.weak, self.spec, self.confidence, self.unreliable, self.replaced_from)
         object.__setattr__(self, "joints2d", pts)
 
     def __eq__(self, other):
@@ -116,9 +114,9 @@ class FrameResult:
         """The record as `FrameArrays.to_records` writes it."""
         return FrameArrays(
             np.array([self.frame_index]), self.pose.rotations[None], self.shape.betas[None],
-            np.array([(self.weak.scale, self.weak.tx, self.weak.ty)]), self.joints2d[None], (self.spec,),
-            np.array([math.nan if self.confidence is None else self.confidence]), np.array([self.unreliable]),
-            np.array([NOT_REPLACED if self.replaced_from is None else self.replaced_from]),
+            np.array([(self.weak.scale, self.weak.tx, self.weak.ty)]), self.joints2d[None],
+            SpecColumns.stack((self.spec,)), np.array([math.nan if self.confidence is None else self.confidence]),
+            np.array([self.unreliable]), np.array([NOT_REPLACED if self.replaced_from is None else self.replaced_from]),
         ).to_records()[0]
 
     @classmethod
@@ -127,7 +125,7 @@ class FrameResult:
         row = FrameArrays.from_records([doc])
         confidence, donor = row.confidence.item(), row.replaced_from.item()
         return cls(row.frame_index.item(), HandPose(row.rotations[0]), HandShape(row.betas[0]),
-                   WeakCamera(*row.weak[0].tolist()), row.joints2d[0], row.specs[0],
+                   WeakCamera(*row.weak[0].tolist()), row.joints2d[0], row.specs.to_specs()[0],
                    None if math.isnan(confidence) else confidence, row.unreliable.item(),
                    None if donor == NOT_REPLACED else donor)
 
@@ -144,7 +142,7 @@ class FrameArrays:
     betas: np.ndarray          # (T, 10)
     weak: np.ndarray           # (T, 3) rows of (scale, tx, ty)
     joints2d: np.ndarray       # (T, 21, 2) patch pixels
-    specs: tuple[PatchSpec, ...]
+    specs: SpecColumns
     confidence: np.ndarray     # (T,)
     unreliable: np.ndarray     # (T,) bool
     replaced_from: np.ndarray  # (T,) int64
@@ -153,27 +151,26 @@ class FrameArrays:
     def from_records(cls, docs: Sequence[dict]) -> "FrameArrays":
         """Parse frame records, as `to_records` writes them, into columns.
 
-        Scalars follow the `JsonRecord` rules, `weak` and `spec` parse as
-        records, and `pose`, `shape` and `joints2d` must be nested lists of
-        finite JSON numbers.  Other keys are ignored.  The first bad record
-        fails as `frame N: <field.path>: …`.
+        Scalars follow the `JsonRecord` rules and checks, `weak` and `spec`
+        as records, and `pose`, `shape` and `joints2d` must be nested lists
+        of finite JSON numbers; no per-record object is built.  Other keys
+        are ignored.  The first bad record fails as `frame N: <field.path>: …`.
         """
         return parse_rows(cls._parse, docs)
 
     @classmethod
     def _parse(cls, docs: Sequence[dict]) -> "FrameArrays":
-        rows = [_Scalars.from_dict({key: doc[key] for key in _SCALAR_KEYS if key in doc}) for doc in docs]
+        frame_index, weak, spec, confidence, unreliable, replaced_from = _Scalars.columns(docs, strict=False)
         return cls(
-            frame_index=np.array([row.frame_index for row in rows], dtype=np.int64),
+            frame_index=np.array(frame_index, dtype=np.int64),
             rotations=numbers([doc["pose"] for doc in docs], (N_ROTATIONS, 3), "pose"),
             betas=numbers([doc["shape"] for doc in docs], (N_SHAPE_COEFFS,), "shape"),
-            weak=np.array([(row.weak.scale, row.weak.tx, row.weak.ty) for row in rows], dtype=np.float64),
+            weak=np.array(weak, dtype=np.float64),
             joints2d=numbers([doc["joints2d"] for doc in docs], (N_KEYPOINTS, 2), "joints2d"),
-            specs=tuple(row.spec for row in rows),
-            confidence=np.array([math.nan if row.confidence is None else row.confidence for row in rows]),
-            unreliable=np.array([row.unreliable for row in rows], dtype=bool),
-            replaced_from=np.array([NOT_REPLACED if row.replaced_from is None else row.replaced_from
-                                    for row in rows], dtype=np.int64),
+            specs=SpecColumns.of(spec),
+            confidence=np.array(confidence, dtype=np.float64),  # None reads as NaN
+            unreliable=np.array(unreliable, dtype=bool),
+            replaced_from=np.array([NOT_REPLACED if r is None else r for r in replaced_from], dtype=np.int64),
         )
 
     def to_records(self) -> list[dict]:
@@ -184,12 +181,12 @@ class FrameArrays:
         return [
             {
                 "format_version": FRAME_FORMAT_VERSION, "frame_index": index, "pose": pose, "shape": shape,
-                "weak": {"scale": scale, "tx": tx, "ty": ty}, "joints2d": joints2d, "spec": spec.to_dict(),
+                "weak": {"scale": scale, "tx": tx, "ty": ty}, "joints2d": joints2d, "spec": spec,
                 "confidence": c, "unreliable": unreliable, "replaced_from": donor,
             }
             for index, pose, shape, (scale, tx, ty), joints2d, spec, c, unreliable, donor in zip(
                 self.frame_index.tolist(), self.rotations.tolist(), self.betas.tolist(), self.weak.tolist(),
-                self.joints2d.tolist(), self.specs, confidence, self.unreliable.tolist(), replaced_from,
+                self.joints2d.tolist(), self.specs.to_dicts(), confidence, self.unreliable.tolist(), replaced_from,
             )
         ]
 

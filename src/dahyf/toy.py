@@ -9,6 +9,7 @@ and can be regenerated with `write_bundled_asset()`.
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 from pathlib import Path
 
@@ -105,8 +106,10 @@ def build_toy_model() -> HandModelParams:
     )
 
 
+@functools.cache
 def bundled_model_path() -> Path:
-    """Filesystem path of the packaged `toyhand.model` asset."""
+    """Filesystem path of the packaged `toyhand.model` asset, looked up once:
+    the lookup costs more than the cached model load it precedes."""
     return Path(resources.files("dahyf").joinpath("assets/toyhand.model"))
 
 

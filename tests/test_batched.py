@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dahyf.camera import WeakCamera, project_points, weak_to_full
 from dahyf.confidence import DegenerateJointsError, cosine_confidence, normalize_pred, normalize_proj
 from dahyf.geometry import PatchSpec, RowError, SpecColumns, frame_to_patch_abs
-from dahyf.hand_model import HandPose, HandShape, forward_kinematics, posed_joints, rodrigues
+from dahyf.hand_model import HandModelParams, HandPose, HandShape, forward_kinematics, posed_joints, rodrigues
 from dahyf.metrics import epe_2d, joint_errors, procrustes_align
 
 TOL = 1e-12
@@ -70,6 +70,19 @@ def test_fk_stack_matches_single_frames(toy_model, t, seed):
         single = forward_kinematics(toy_model, HandShape(betas[i]), HandPose(rotations[i]))
         np.testing.assert_allclose(stacked[i], single, rtol=0, atol=TOL)
         np.testing.assert_allclose(stacked[i], reference_fk(toy_model, betas[i], rotations[i]), rtol=0, atol=TOL)
+
+
+def test_fk_composes_a_rotation_free_joint_with_children(toy_model, rng):
+    """A joint that carries no rotation but has children passes its parent's
+    rotation on: the level schedule matches the joint-by-joint oracle on
+    such a tree too."""
+    parent = toy_model.parent.copy()
+    parent[20] = 4  # the pinky tip hangs off the thumb tip, which carries no rotation
+    model = HandModelParams(toy_model.rest_joints, parent, toy_model.articulated, toy_model.shape_basis)
+    betas, rotations = random_params(rng, 5)
+    stacked = posed_joints(model, betas, rotations)
+    for i in range(5):
+        np.testing.assert_allclose(stacked[i], reference_fk(model, betas[i], rotations[i]), rtol=0, atol=TOL)
 
 
 @stacks

@@ -112,6 +112,16 @@ class TestStrictModelDecoding:
         with pytest.raises(ModelFormatError, match=field):
             load_model(_write_model(tmp_path / "bad.model", doc))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.__setitem__("skinnning", d.pop("skinning")), "unknown key 'skinnning' in model file"),
+        (lambda d: d["skinning"].__setitem__("weight", []), "unknown key 'weight' in skinning block"),
+    ], ids=["misspelled_block", "skinning_key"])
+    def test_unknown_key_is_format_error(self, tmp_path, edit, message):
+        doc = json.loads(bundled_model_path().read_text())
+        edit(doc)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(_write_model(tmp_path / "typo.model", doc))
+
     def test_integral_floats_are_indices(self, toy_model, tmp_path):
         doc = json.loads(bundled_model_path().read_text())
         doc["parent"] = [float(p) for p in doc["parent"]]
@@ -318,6 +328,34 @@ class TestForwardKinematics:
 
         np.testing.assert_allclose(lengths(joints), lengths(rest), rtol=0, atol=1e-12)
         np.testing.assert_array_equal(joints[:, 0], rest[:, 0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_rows_pose_alone_bit_for_bit(self, toy_model, t, seed, data):
+        """Posing any subset of a stack's rows gives exactly those rows of the
+        whole stack, so a row with another row's pose and shape may take its
+        joints."""
+        rng = np.random.default_rng(seed)
+        betas, rotations = rng.normal(0, 1.0, (t, 10)), rng.normal(0, 1.0, (t, 16, 3))
+        rotations[rng.random((t, 16)) < 0.1] = 0.0  # the small-angle branch too
+        rows = np.array(data.draw(st.lists(st.integers(0, t - 1), min_size=1, max_size=t)))
+        full = posed_joints(toy_model, betas, rotations)
+        assert posed_joints(toy_model, betas[rows], rotations[rows]).tobytes() == full[rows].tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(t=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_stack_is_root_equivariant(self, toy_model, t, seed):
+        """Turning row t's wrist rotation by R_t turns row t's joints by R_t
+        about its wrist."""
+        rng = np.random.default_rng(seed)
+        betas, rotations = rng.normal(0, 1.0, (t, 10)), rng.normal(0, 0.8, (t, 16, 3))
+        extra = rodrigues(rng.normal(0, 1.0, (t, 3)))
+        turned = rotations.copy()
+        turned[:, 0] = [so3_log(r @ rodrigues(w)) for r, w in zip(extra, rotations[:, 0])]
+        base = posed_joints(toy_model, betas, rotations)
+        wrist = base[:, :1]
+        expected = np.einsum("tij,tkj->tki", extra, base - wrist) + wrist
+        np.testing.assert_allclose(posed_joints(toy_model, betas, turned), expected, rtol=0, atol=1e-9)
 
 
 class TestSkinning:

@@ -94,6 +94,17 @@ class TestProcrustesProperties:
                                    procrustes_align(p, g).aligned_points, rtol=0, atol=1e-12)
 
     @props
+    @given(seed=seeds, axis_angle=vec3, log_scale=st.floats(-2.0, 2.0), shift=vec3)
+    def test_equivariant_to_similarity_of_gt(self, seed, axis_angle, log_scale, shift):
+        """Moving gt by a similarity moves the aligned points with it."""
+        p, g = self._pair(seed)
+        rotation, scale, shift = rodrigues(np.array(axis_angle)), np.exp(log_scale), np.array(shift)
+        moved = scale * g @ rotation.T + shift
+        np.testing.assert_allclose(procrustes_align(p, moved).aligned_points,
+                                   scale * procrustes_align(p, g).aligned_points @ rotation.T + shift,
+                                   rtol=0, atol=1e-11)
+
+    @props
     @given(seed=seeds, perm=st.integers(3, 30).flatmap(lambda n: st.permutations(range(n))))
     def test_invariant_to_point_order(self, seed, perm):
         p, g = self._pair(seed, len(perm))

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dahyf import pipeline
 from dahyf.arrayio import write_coord_array
 from dahyf.cli import main
 from dahyf.codec import CodecConfig, encode_labels, log_probs
@@ -48,6 +49,34 @@ class TestRunPipeline:
         docs = read_jsonl(out)
         assert [d["frame_index"] for d in docs] == list(range(12))
         assert all("joints3d" in d for d in docs)
+
+    @pytest.mark.parametrize("mode", ["off", "exponential"])
+    def test_joints3d_are_fk_of_the_output_parameters(self, toy_model, tmp_path, mode):
+        """Gated rows take their donors' joints and smoothed rows are posed
+        again; either way each row's joints3d are FK of its written pose and
+        shape, bit for bit."""
+        seq = synth_sequence(toy_model, 24, noise_px=0.5, outlier_rate=0.25, seed=5)
+        obs = tmp_path / "obs.jsonl"
+        write_jsonl(seq.observed, obs)
+        config = PipelineConfig(filter=FilterConfig(smoothing=SmoothingConfig(mode=mode)))
+        report = run_pipeline(config, obs, tmp_path / "out.jsonl")
+        assert report["replaced_frames"]
+        docs = read_jsonl(tmp_path / "out.jsonl")
+        posed = posed_joints(toy_model, np.array([d["shape"] for d in docs]), np.array([d["pose"] for d in docs]))
+        assert np.array([d["joints3d"] for d in docs]).tobytes() == posed.tobytes()
+
+    def test_gating_alone_poses_each_frame_once(self, toy_model, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(model, betas, rotations):
+            calls.append(len(betas))
+            return posed_joints(model, betas, rotations)
+
+        monkeypatch.setattr(pipeline, "posed_joints", counting)
+        seq = synth_sequence(toy_model, 12, noise_px=0.5, outlier_rate=0.25, seed=5)
+        write_jsonl(seq.observed, tmp_path / "obs.jsonl")
+        report = run_pipeline(PipelineConfig(), tmp_path / "obs.jsonl", tmp_path / "out.jsonl")
+        assert report["replaced_frames"] and calls == [12]
 
     def test_sqrt_fallback_changes_geometry(self, clean_sequence, tmp_path):
         gt, obs = clean_sequence

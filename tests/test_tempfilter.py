@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dahyf.camera import WeakCamera
-from dahyf.geometry import PatchSpec
+from dahyf.geometry import PatchSpec, SpecColumns
 from dahyf.hand_model import HandPose, HandShape
 from dahyf.tempfilter import (
     NOT_REPLACED,
@@ -64,6 +64,53 @@ class TestFrameSerialization:
         assert again == frame and again.pose == frame.pose and again.shape == frame.shape
         assert make_frame(2, 0.5, tx=0.5) != frame
         assert replace(frame, joints2d=frame.joints2d + 1.0) != frame
+
+
+class TestRecordErrors:
+    """A bad record fails naming its frame and field.  The messages are
+    pinned as the record-by-record parse gave them before records were
+    parsed into columns."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["weak"].__setitem__("scale", 0), "frame 1: weak: weak camera scale must be positive"),
+        (lambda d: d["weak"].__setitem__("tx", float("nan")), "frame 1: weak: weak camera parameters must be finite"),
+        (lambda d: d["spec"].__setitem__("frame_w", 0), "frame 1: spec: frame dimensions must be positive"),
+        (lambda d: d["spec"].__setitem__("handedness", "up"),
+         "frame 1: spec: handedness must be 'left' or 'right', got 'up'"),
+        (lambda d: d["spec"].__setitem__("focal", -1), "frame 1: spec: focal must be positive when given"),
+        (lambda d: d["weak"].__setitem__("zoom", 1.0), "frame 1: weak: unknown key 'zoom' for WeakCamera"),
+        (lambda d: d["spec"].__setitem__("zoom", 1.0), "frame 1: spec: unknown key 'zoom' for PatchSpec"),
+        (lambda d: d.__setitem__("unreliable", "false"), "frame 1: unreliable: expected true or false, got 'false'"),
+        (lambda d: d.pop("spec"), "frame 1: missing field 'spec'"),
+        (lambda d: d["weak"].pop("tx"), "frame 1: missing field 'weak.tx'"),
+        (lambda d: d.__setitem__("confidence", 1.5), "frame 1: confidence must lie in [-1, 1]"),
+    ], ids=["weak_scale_zero", "weak_tx_nan", "frame_w_zero", "handedness_up", "focal_negative", "weak_unknown_key",
+            "spec_unknown_key", "unreliable_string", "missing_spec", "missing_weak_tx", "confidence_range"])
+    def test_message(self, edit, message):
+        docs = [make_frame(i, 0.9).to_dict() for i in range(3)]
+        edit(docs[1])
+        with pytest.raises(ValueError) as info:
+            FrameArrays.from_records(docs)
+        assert str(info.value) == message
+
+    def test_nan_focal_is_refused(self):
+        """A NaN focal is not positive: the columns read NaN as no focal, and
+        a NaN camera would reach every projection."""
+        docs = [make_frame(i, 0.9).to_dict() for i in range(2)]
+        docs[0]["spec"]["focal"] = float("nan")
+        with pytest.raises(ValueError, match="frame 0: spec: focal must be positive when given"):
+            FrameArrays.from_records(docs)
+
+    def test_specs_round_trip_as_columns(self):
+        frames = [replace(make_frame(i, 0.9), spec=PatchSpec(640, 480, (1.5 * i, 2.0), 200.0 + i, net_size=128,
+                                                             feat_size=32, focal=None if i % 2 else 900.0,
+                                                             handedness=("left", "right")[i % 2], flipped=i == 1))
+                  for i in range(3)]
+        specs = clip(frames).specs
+        assert specs.to_specs() == [f.spec for f in frames]
+        assert specs.to_dicts() == [f.spec.to_dict() for f in frames]
+        assert np.isnan(specs.focal).tolist() == [False, True, False]
+        assert specs == SpecColumns.stack([f.spec for f in frames]) != SpecColumns.stack([frames[0].spec] * 3)
 
 
 class TestGate:
