@@ -1,4 +1,4 @@
-"""Data ingestion and synthetic sequence generation.
+"""JSONL I/O, ground-truth labels and synthetic sequence generation.
 
 Sequences are JSONL, one frame record per line.  An observed record is a
 `FrameArrays` row (confidence null until the pipeline computes it); a
@@ -18,72 +18,8 @@ from .camera import WeakCamera, project_points, weak_to_full
 from .confidence import cosine_confidence, normalize_pred, normalize_proj
 from .geometry import PatchSpec, SpecColumns, frame_to_patch_abs
 from .hand_model import N_KEYPOINTS, N_ROTATIONS, HandModelParams, HandPose, HandShape, forward_kinematics, posed_joints
-from .jsonrecord import field, numbers, parse_rows, read_json
+from .jsonrecord import field, numbers, parse_rows
 from .tempfilter import NOT_REPLACED, FrameArrays, check_indices
-
-FREIHAND_SPLITS = ("training", "evaluation")
-
-# FreiHAND annotations already list wrist first and then thumb through pinky,
-# proximal to tip, which is this package's canonical ordering.
-FREIHAND_TO_CANONICAL = tuple(range(21))
-
-
-@dataclass(frozen=True)
-class HandSample:
-    """One dataset sample: camera intrinsics, 3D joints, optional vertices."""
-
-    intrinsics: np.ndarray       # (3, 3)
-    joints3d: np.ndarray         # (21, 3) meters
-    vertices: np.ndarray | None  # (V, 3) meters
-
-
-def load_freihand_annotations(root: str | Path, split: str = "training") -> list[HandSample]:
-    """Load FreiHAND-layout annotation arrays from a directory.
-
-    Expects `{split}_K.json` and `{split}_xyz.json` (lists of 3x3 intrinsics
-    and 21x3 joint arrays), plus optional `{split}_verts.json`.  Samples are
-    remapped into canonical joint ordering and validated.
-    """
-    root = Path(root)
-    if split not in FREIHAND_SPLITS:
-        raise ValueError(f"split must be one of {FREIHAND_SPLITS}")
-    k_path = root / f"{split}_K.json"
-    xyz_path = root / f"{split}_xyz.json"
-    if not k_path.exists() or not xyz_path.exists():
-        raise FileNotFoundError(f"missing annotation files under {root}")
-    k_list = read_json(k_path)
-    xyz_list = read_json(xyz_path)
-    verts_list = None
-    verts_path = root / f"{split}_verts.json"
-    if verts_path.exists():
-        verts_list = read_json(verts_path)
-
-    if len(k_list) != len(xyz_list):
-        raise ValueError("annotation length mismatch")
-    if verts_list is not None and len(verts_list) != len(k_list):
-        raise ValueError("annotation length mismatch")
-
-    order = list(FREIHAND_TO_CANONICAL)
-    samples = []
-    for i, (k_raw, xyz_raw) in enumerate(zip(k_list, xyz_list)):
-        intr = _sample_array(k_raw, (3, 3), "intrinsics", k_path, i)
-        xyz = _sample_array(xyz_raw, (N_KEYPOINTS, 3), "joints", xyz_path, i)
-        if abs(np.linalg.det(intr)) < 1e-9 or intr[0, 0] <= 0 or intr[1, 1] <= 0:
-            raise ValueError(f"sample {i}: degenerate intrinsics")
-        verts = None
-        if verts_list is not None:
-            verts = _sample_array(verts_list[i], (None, 3), "vertices", verts_path, i)
-        samples.append(HandSample(intrinsics=intr, joints3d=xyz[order], vertices=verts))
-    return samples
-
-
-def _sample_array(values, shape: tuple[int | None, ...], name: str, path: Path, i: int) -> np.ndarray:
-    """One sample's array of an annotation file, decoded by `numbers`; an
-    error names the file and the sample."""
-    try:
-        return numbers([values], shape, name)[0]
-    except ValueError as exc:
-        raise ValueError(f"{path}: sample {i}: {exc}") from exc
 
 
 def write_jsonl(records, path: str | Path) -> None:

@@ -38,11 +38,6 @@ def positional_encode(mu: np.ndarray, octaves: int = DEFAULT_OCTAVES) -> np.ndar
     return encoded.reshape(-1)
 
 
-def pe_length(n_joints: int, octaves: int = DEFAULT_OCTAVES) -> int:
-    """Length of the flattened encoding: 2 coords * n_joints * 2L."""
-    return 2 * n_joints * 2 * octaves
-
-
 def pool_feature_map(feature_map: np.ndarray, mode: str = "mean") -> np.ndarray:
     """Spatially pool an implicit (C, H, W) feature map into a (C,) vector."""
     fm = np.asarray(feature_map, dtype=np.float64)

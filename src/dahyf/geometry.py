@@ -81,6 +81,12 @@ class PatchSpec(JsonRecord):
             raise ValueError("net_size and feat_size must be positive")
         if focal is not None and not focal > 0:  # NaN too: it marks a missing focal in SpecColumns
             raise ValueError("focal must be positive when given")
+        if not (math.isfinite(upper_left[0]) and math.isfinite(upper_left[1])):
+            raise ValueError("upper_left must be finite")
+        if not math.isfinite(patch_size):
+            raise ValueError("patch_size must be finite")
+        if focal is not None and not math.isfinite(focal):
+            raise ValueError("focal must be finite when given")
         if handedness not in ("left", "right"):
             raise ValueError(f"handedness must be 'left' or 'right', got {handedness!r}")
 

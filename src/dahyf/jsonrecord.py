@@ -148,12 +148,17 @@ def _check(ok: bool, what: str, value):
     return value
 
 
-_SCALARS = {  # JSON booleans are not numbers, and an integer field takes no fraction
+def _int(v) -> int:
+    if type(v) is not int:
+        v = int(_check((isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and v.is_integer()),
+                       "an integer", v))
+    return _check(-2**63 <= v < 2**63, "an integer within int64", v)
+
+
+_SCALARS = {  # JSON booleans are not numbers, and an integer field takes no fraction and fits in int64
     float: lambda v: v if type(v) is float else float(
         _check(isinstance(v, (int, float)) and not isinstance(v, bool), "a number", v)),
-    int: lambda v: v if type(v) is int else int(
-        _check((isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and v.is_integer()),
-               "an integer", v)),
+    int: _int,
     bool: lambda v: v if type(v) is bool else _check(isinstance(v, bool), "true or false", v),
     str: lambda v: v if type(v) is str else _check(isinstance(v, str), "a string", v),
 }

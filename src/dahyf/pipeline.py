@@ -1,10 +1,11 @@
 """Pipeline composition: per-frame decode -> FK -> projection -> confidence,
 then sequence-level gating and smoothing, with metrics against ground truth.
 
-Input records are parsed straight into one `FrameArrays` struct of (T, …)
-arrays, so each per-frame stage runs once over the whole clip, gating and
-smoothing run on the arrays, and the output records are written straight
-from them.  Output ordering always matches input ordering.
+The core takes and gives arrays: `process` runs a clip, one `FrameArrays`
+struct of (T, …) arrays, through every stage, each once over the whole
+clip, and `build_report` summarizes the result.  `run_pipeline` is the file
+shell around them: it parses the input records into the clip and writes the
+output records and report.  Output ordering always matches input ordering.
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ class PipelineConfig(JsonRecord):
 
 def load_config(path: str | Path) -> PipelineConfig:
     return PipelineConfig.from_dict(read_json(path))
-
-
-def save_config(config: PipelineConfig, path: str | Path) -> None:
-    write_json(config.to_dict(), path)
 
 
 def _resolve_model(config: PipelineConfig) -> HandModelParams:
@@ -134,6 +131,33 @@ def _pose_keys(clip: FrameArrays) -> np.ndarray:
     return np.concatenate([clip.rotations.reshape(len(clip.rotations), -1), clip.betas], axis=1)
 
 
+@dataclass(frozen=True)
+class ClipResult:
+    """A clip through the pipeline core: `raw` is the input with its
+    confidence, `out` the gated and smoothed clip; `pre_uv` (T, 21, 2) are
+    the frame-pixel projections of `raw`, and `joints3d` (T, 21, 3) and `uv`
+    (T, 21, 2) the FK joints and projections of `out`."""
+
+    raw: FrameArrays
+    out: FrameArrays
+    pre_uv: np.ndarray
+    joints3d: np.ndarray
+    uv: np.ndarray
+
+
+def process(model: HandModelParams, clip: FrameArrays, cfg: FilterConfig) -> ClipResult:
+    """FK, projection and confidence of every frame of `clip`, then gating,
+    smoothing and the joints of the frames they changed.  A failed row check
+    is re-raised naming its frame."""
+    joints3d = posed_joints(model, clip.betas, clip.rotations)
+    with _naming_frames(clip.frame_index):
+        pre_uv = project_points(joints3d, weak_to_full(clip.weak, clip.specs))
+        confidence = cosine_confidence(normalize_pred(clip.joints2d, clip.specs), normalize_proj(pre_uv, clip.specs))
+    raw = replace(clip, confidence=confidence)
+    out = smooth_arrays(gate_arrays(raw, cfg), cfg)
+    return ClipResult(raw, out, pre_uv, *_repose_changed(model, raw, out, joints3d, pre_uv))
+
+
 def run_pipeline(
     config: PipelineConfig,
     in_path: str | Path,
@@ -147,35 +171,30 @@ def run_pipeline(
     any stage are re-raised with the offending frame index.  Every logits
     file of the clip is read and decoded through one buffer.
     """
-    model = _resolve_model(config)
-    raw = _read_clip(Path(in_path), config)
-    specs = raw.specs
-    pre_joints3d = posed_joints(model, raw.betas, raw.rotations)
-    with _naming_frames(raw.frame_index):
-        pre_uv = project_points(pre_joints3d, weak_to_full(raw.weak, specs))
-        confidence = cosine_confidence(normalize_pred(raw.joints2d, specs), normalize_proj(pre_uv, specs))
-    raw = replace(raw, confidence=confidence)
-
-    out = smooth_arrays(gate_arrays(raw, config.filter), config.filter)
-    post_joints3d, post_uv = _repose_changed(model, raw, out, pre_joints3d, pre_uv)
-
-    out_docs = out.to_records()
-    for doc, joints3d in zip(out_docs, post_joints3d.tolist()):
+    result = process(_resolve_model(config), _read_clip(Path(in_path), config), config.filter)
+    out_docs = result.out.to_records()
+    for doc, joints3d in zip(out_docs, result.joints3d.tolist()):
         doc["joints3d"] = joints3d
     write_jsonl(out_docs, out_path)
 
-    report = _build_report(config, raw, out, specs, pre_uv, post_joints3d, post_uv, gt_path)
+    labels = None if gt_path is None else match_labels(result.raw.frame_index, gt_path, ("joints3d", "joints2d"))
+    report = build_report(result, config.filter.threshold, labels)
     if report_path is not None:
         write_json(report, report_path)
     return report
 
 
-def _build_report(config, raw: FrameArrays, out: FrameArrays, specs, pre_uv, post_joints3d, post_uv, gt_path) -> dict:
+def build_report(result: ClipResult, threshold: float,
+                 labels: tuple[np.ndarray, dict[str, np.ndarray]] | None = None) -> dict:
+    """The run report of `result`: its gated and unreliable frames and
+    confidence, and with `labels`, the `(rows, gt)` pair `match_labels`
+    gives, the metrics of the labelled frames."""
+    raw, out, specs = result.raw, result.out, result.raw.specs
     confidences = raw.confidence.tolist()
     report = {
         "format_version": REPORT_FORMAT_VERSION,
         "n_frames": len(confidences),
-        "threshold": config.filter.threshold,
+        "threshold": threshold,
         "replaced_frames": out.frame_index[out.replaced_from != NOT_REPLACED].tolist(),
         "unreliable_frames": out.frame_index[out.unreliable].tolist(),
         "confidence": {
@@ -183,20 +202,17 @@ def _build_report(config, raw: FrameArrays, out: FrameArrays, specs, pre_uv, pos
             "mean": sum(confidences) / len(confidences),
         },
     }
-    if gt_path is None:
+    if labels is None or not labels[0].size:
         return report
-
-    rows, gt = match_labels(raw.frame_index, gt_path, ("joints3d", "joints2d"))
-    if not rows.size:
-        return report
+    rows, gt = labels
     with _naming_frames(raw.frame_index[rows]):
-        summary = summarize(post_joints3d[rows], gt["joints3d"])
+        summary = summarize(result.joints3d[rows], gt["joints3d"])
     report["metrics"] = {
         "mpjpe_mm": summary["mpjpe_mm"],
         "pa_mpjpe_mm": summary["pa_mpjpe_mm"],
         "epe_observed_px": float(np.mean(epe_2d(raw.joints2d[rows], gt["joints2d"]))),
-        "epe_reproj_pre_px": float(np.mean(epe_2d(frame_to_patch_abs(pre_uv, specs)[rows], gt["joints2d"]))),
-        "epe_reproj_post_px": float(np.mean(epe_2d(frame_to_patch_abs(post_uv, specs)[rows], gt["joints2d"]))),
+        "epe_reproj_pre_px": float(np.mean(epe_2d(frame_to_patch_abs(result.pre_uv, specs)[rows], gt["joints2d"]))),
+        "epe_reproj_post_px": float(np.mean(epe_2d(frame_to_patch_abs(result.uv, specs)[rows], gt["joints2d"]))),
         "pck": summary["pck"],
     }
     return report

@@ -5,8 +5,9 @@ Gating first, smoothing second.  Gating replaces a low-confidence frame's
 pose/shape/camera with those of the most recent high-confidence frame
 (within a bounded hold), leaving the raw 2D observations and the confidence
 value untouched.  Smoothing then runs per scalar channel over the gated
-sequence; pose axis-angles are canonicalized to [0, pi] magnitude first so
-the filter never sees 2-pi representation jumps.
+sequence; pose axis-angles are canonicalized to [0, pi] magnitude and then
+unwrapped along the clip first, so the filter never sees 2-pi
+representation jumps, not even where a rotation turns through pi.
 
 A clip is one `FrameArrays` struct of (T, …) arrays: `from_records` parses
 the JSON frame records into it, `gate_arrays` and `smooth_arrays` filter it
@@ -32,6 +33,8 @@ SMOOTHING_MODES = ("off", "exponential", "one_euro")
 
 # `FrameArrays.replaced_from` of a frame that kept its own parameters
 NOT_REPLACED = np.iinfo(np.int64).min
+
+TAU = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -246,20 +249,48 @@ def _exp_alpha(cutoff, dt):
     return r / (r + 1.0)
 
 
+def _turns(v: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whole turns k (…, 1) and unit axes n (…, 3) such that v + 2 pi k n,
+    the rotation of axis-angle `v` (|v| <= pi), lies nearest `p` along v's
+    axis.  A zero `v` takes the axis of its `p`."""
+    theta = np.linalg.norm(v, axis=-1, keepdims=True)
+    axis = np.where(theta > 0, v, p)
+    length = np.linalg.norm(axis, axis=-1, keepdims=True)
+    axis = axis / np.where(length > 0, length, 1.0)
+    return np.rint((np.sum(axis * p, axis=-1, keepdims=True) - theta) / TAU), axis
+
+
+def _unwrap(rotations: np.ndarray) -> np.ndarray:
+    """(T, J, 3) canonical axis-angles made continuous along T, like
+    `np.unwrap`: each row moves by whole turns to lie nearest the previous
+    unwrapped row.  Rows before the first that turns against the canonical
+    rows stay as they are, so the loop starts there."""
+    k, _ = _turns(rotations[1:], rotations[:-1])
+    turned = np.flatnonzero(k.any(axis=(1, 2)))
+    if not turned.size:
+        return rotations
+    rotations = rotations.copy()
+    for t in range(turned[0] + 1, len(rotations)):
+        k, axis = _turns(rotations[t], rotations[t - 1])
+        rotations[t] = np.where(k != 0, rotations[t] + TAU * k * axis, rotations[t])  # k = 0 keeps -0.0
+    return rotations
+
+
 def smooth_arrays(clip: FrameArrays, cfg: FilterConfig) -> FrameArrays:
     """Causal per-channel smoothing of pose, shape, and weak camera.
 
-    Each row's 61 channels (canonical axis-angles, betas, scale/tx/ty) follow
-    the configured exponential or one-euro recurrence, with time in frame
-    units; the first row passes through after pose canonicalization.  2D
-    observations and confidences are untouched.
+    Each row's 61 channels (unwrapped canonical axis-angles, betas,
+    scale/tx/ty) follow the configured exponential or one-euro recurrence,
+    with time in frame units; the first row passes through after pose
+    canonicalization.  2D observations and confidences are untouched.
     """
     check_indices(clip.frame_index)
     smoothing = cfg.smoothing
     if smoothing.mode == "off":
         return clip
     n = len(clip.frame_index)
-    state = np.concatenate([canonicalize_axis_angle(clip.rotations).reshape(n, -1), clip.betas, clip.weak], axis=1)
+    rotations = _unwrap(canonicalize_axis_angle(clip.rotations))
+    state = np.concatenate([rotations.reshape(n, -1), clip.betas, clip.weak], axis=1)
     if smoothing.mode == "exponential":
         keep = 1.0 - smoothing.alpha
         for t in range(1, n):

@@ -1,67 +1,12 @@
 import json
-from pathlib import Path
 
 import pytest
 
 from dahyf.camera import project_points, weak_to_full
 from dahyf.confidence import cosine_confidence, normalize_pred, normalize_proj
-from dahyf.data import (
-    HandSample,
-    load_freihand_annotations,
-    read_jsonl,
-    synth_sequence,
-    write_jsonl,
-)
+from dahyf.data import read_jsonl, synth_sequence, write_jsonl
 from dahyf.hand_model import forward_kinematics
 from dahyf.tempfilter import FrameResult
-
-FIXTURE = Path(__file__).parent / "fixtures" / "freihand_mini"
-
-
-class TestFreihandLoader:
-    def test_mini_fixture_loads(self):
-        samples = load_freihand_annotations(FIXTURE)
-        assert len(samples) == 3
-        for s in samples:
-            assert isinstance(s, HandSample)
-            assert s.joints3d.shape == (21, 3)
-            assert s.intrinsics.shape == (3, 3)
-        assert samples[0].vertices is not None
-
-    def test_length_mismatch(self, tmp_path):
-        k = json.loads((FIXTURE / "training_K.json").read_text())
-        xyz = json.loads((FIXTURE / "training_xyz.json").read_text())
-        (tmp_path / "training_K.json").write_text(json.dumps(k))
-        (tmp_path / "training_xyz.json").write_text(json.dumps(xyz[:2]))
-        with pytest.raises(ValueError, match="annotation length mismatch"):
-            load_freihand_annotations(tmp_path)
-
-    def test_degenerate_intrinsics(self, tmp_path):
-        k = json.loads((FIXTURE / "training_K.json").read_text())
-        xyz = json.loads((FIXTURE / "training_xyz.json").read_text())
-        k[1][0][0] = 0.0
-        (tmp_path / "training_K.json").write_text(json.dumps(k))
-        (tmp_path / "training_xyz.json").write_text(json.dumps(xyz))
-        with pytest.raises(ValueError, match="degenerate intrinsics"):
-            load_freihand_annotations(tmp_path)
-
-    def test_missing_files(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_freihand_annotations(tmp_path)
-
-    def test_unknown_split(self):
-        with pytest.raises(ValueError):
-            load_freihand_annotations(FIXTURE, split="validation")
-
-    @pytest.mark.parametrize("bad", ["0.069", True])
-    def test_joint_of_wrong_kind_names_file_and_sample(self, tmp_path, bad):
-        for name in ("training_K.json", "training_xyz.json", "training_verts.json"):
-            (tmp_path / name).write_text((FIXTURE / name).read_text())
-        xyz = json.loads((FIXTURE / "training_xyz.json").read_text())
-        xyz[2][7][1] = bad
-        (tmp_path / "training_xyz.json").write_text(json.dumps(xyz))
-        with pytest.raises(ValueError, match=r"training_xyz\.json: sample 2: joints: expected a number"):
-            load_freihand_annotations(tmp_path)
 
 
 class TestJsonl:

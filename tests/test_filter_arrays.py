@@ -22,7 +22,7 @@ from dahyf.camera import WeakCamera
 from dahyf.codec import CodecConfig, decode_soft_argmax, encode_labels, log_probs
 from dahyf.data import synth_sequence, write_jsonl
 from dahyf.geometry import PatchSpec
-from dahyf.hand_model import HandPose, HandShape, canonicalize_axis_angle
+from dahyf.hand_model import HandPose, HandShape, canonicalize_axis_angle, rodrigues
 from dahyf.pipeline import PipelineConfig, run_pipeline
 from dahyf.tempfilter import (
     FilterConfig,
@@ -103,25 +103,50 @@ class ReferenceOneEuro:
         return x_hat
 
 
-def reference_state(frame, canonical=True):
-    rot = canonicalize_axis_angle(frame.pose.rotations) if canonical else frame.pose.rotations
+def reference_unwrap(rot, prev):
+    """Each axis-angle v of `rot` (16, 3), magnitude at most pi, moved by
+    the whole turns along its axis n that bring it nearest the same joint's
+    p in `prev`: v + 2 pi k n, k = rint((<n, p> - |v|) / 2 pi), and v itself
+    where k = 0.  A zero v takes the axis of p."""
+    theta = np.linalg.norm(rot, axis=1, keepdims=True)
+    out = rot.copy()
+    for j in range(len(rot)):
+        axis = rot[j] if theta[j] > 0 else prev[j]
+        length = np.linalg.norm(axis, axis=-1, keepdims=True)
+        if length > 0:
+            axis = axis / length
+        turns = np.rint((np.sum(axis * prev[j], axis=-1, keepdims=True) - theta[j]) / (2.0 * np.pi))
+        if turns != 0:
+            out[j] = rot[j] + 2.0 * np.pi * turns * axis
+    return out
+
+
+def reference_state(frame, rot):
+    """The 61 channels of a frame given its axis-angles `rot`: axis-angles,
+    betas and scale/tx/ty."""
     return np.concatenate([rot.reshape(-1), frame.shape.betas, [frame.weak.scale, frame.weak.tx, frame.weak.ty]])
 
 
 def reference_smooth(frames, cfg) -> list[np.ndarray]:
-    """Per frame, the 61 smoothed channels (axis-angles, betas, scale/tx/ty)."""
+    """Per frame, the 61 smoothed channels (axis-angles, betas, scale/tx/ty):
+    each frame's canonical axis-angles unwrapped against the previous
+    frame's, then the recurrence."""
     smoothing = cfg.smoothing
     if smoothing.mode == "off":
-        return [reference_state(f, canonical=False) for f in frames]
-    out = [reference_state(frames[0])]
+        return [reference_state(f, f.pose.rotations) for f in frames]
+    rots = [canonicalize_axis_angle(frames[0].pose.rotations)]
+    for frame in frames[1:]:
+        rots.append(reference_unwrap(canonicalize_axis_angle(frame.pose.rotations), rots[-1]))
+    states = [reference_state(f, rot) for f, rot in zip(frames, rots)]
+    out = [states[0]]
     if smoothing.mode == "exponential":
         y = out[0]
-        for frame in frames[1:]:
-            y = smoothing.alpha * reference_state(frame) + (1.0 - smoothing.alpha) * y
+        for x in states[1:]:
+            y = smoothing.alpha * x + (1.0 - smoothing.alpha) * y
             out.append(y)
     else:
         filt = ReferenceOneEuro(smoothing, float(frames[0].frame_index), out[0])
-        out += [filt(float(f.frame_index), reference_state(f)) for f in frames[1:]]
+        out += [filt(float(f.frame_index), x) for f, x in zip(frames[1:], states[1:])]
     return out
 
 
@@ -178,6 +203,73 @@ class TestArraySmoothing:
         a = smooth_arrays(arrays(frames), cfg)
         b = smooth_arrays(arrays(turned), cfg)
         np.testing.assert_allclose(b.rotations, a.rotations, atol=1e-9)
+
+
+TAU = 2.0 * np.pi
+SMOOTHINGS = [SmoothingConfig(mode="exponential", alpha=0.3), SmoothingConfig(mode="one_euro"),
+              SmoothingConfig(mode="one_euro", min_cutoff=0.5, beta=0.5)]
+
+
+def clip_with_root(root: np.ndarray, betas: np.ndarray | None = None) -> FrameArrays:
+    """A clip of consecutive frames whose root axis-angles are `root`
+    (T, 3), and whose first betas are `betas` (T, k) when given."""
+    n = len(root)
+    clip = arrays(random_frames(3, n))
+    rotations, new_betas = clip.rotations.copy(), clip.betas.copy()
+    rotations[:, 0] = root
+    if betas is not None:
+        new_betas[:, :betas.shape[1]] = betas
+    return replace(clip, frame_index=np.arange(n), rotations=rotations, betas=new_betas)
+
+
+def geodesic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angles (radians) between the rotations of axis-angle stacks a and b,
+    from |Ra - Rb|_F = 2 sqrt(2) sin(angle / 2)."""
+    diff = np.linalg.norm(rodrigues(a) - rodrigues(b), axis=(-2, -1))
+    return 2.0 * np.arcsin(np.minimum(diff / (2.0 * np.sqrt(2.0)), 1.0))
+
+
+class TestTurningThroughPi:
+    """A rotation that turns through pi keeps its axis-angle continuous,
+    so the filter sees the motion, not a jump of 2 pi."""
+
+    @pytest.mark.parametrize("start, speed", [
+        (0.3, 0.05), (2.8, 0.05), (5.9, 0.05), (-3.4, 0.05), (0.0, TAU / 10), (0.3, TAU / 10),
+    ], ids=["neither", "pi", "two_pi", "minus_pi", "whole_turns", "several_turns"])
+    @pytest.mark.parametrize("axis", [(0.48, -0.6, 0.64), (0.0, 0.0, 1.0)], ids=["oblique", "z"])
+    @pytest.mark.parametrize("smoothing", SMOOTHINGS, ids=["exponential", "one_euro", "one_euro_beta"])
+    def test_lags_as_the_unwrapped_angle(self, start, speed, axis, smoothing):
+        """A constant-speed turn about one axis is smoothed as the same
+        angle ramp in three unbounded channels (betas): up to whole turns
+        along the axis, the same output, so the same lag within 1e-9 rad,
+        whether its path crosses pi, 2 pi, several turns or neither.  About
+        z, the whole-turn frames canonicalize to the zero vector."""
+        axis = np.array(axis)
+        ramp = (start + speed * np.arange(40))[:, None] * axis
+        out = smooth_arrays(clip_with_root(ramp, ramp), FilterConfig(smoothing=smoothing))
+        offset = out.rotations[:, 0] - out.betas[:, :3]
+        turns = np.rint(offset[0] @ axis / TAU)
+        np.testing.assert_allclose(offset, np.tile(TAU * turns * axis, (40, 1)), rtol=0, atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds, st.integers(min_value=8, max_value=40), st.floats(min_value=0.02, max_value=0.1),
+           st.floats(min_value=0.25, max_value=0.75), st.sampled_from([
+               SmoothingConfig(mode="exponential", alpha=0.5), SmoothingConfig(mode="exponential", alpha=0.8),
+               SmoothingConfig(mode="one_euro", min_cutoff=0.5), SmoothingConfig(mode="one_euro", beta=2.0)]))
+    def test_error_bounded_by_the_lag(self, seed, n, speed, crossing, smoothing):
+        """Along a smooth trajectory whose root turns through pi about a
+        drifting axis, every frame's geodesic error is at most the filter's
+        lag: (1 - a) / a times the largest per-frame step, a the smallest
+        smoothing weight, channel by channel."""
+        rng = np.random.default_rng(seed)
+        t = np.arange(n)[:, None]
+        drift = rng.normal(0.0, 1.0, 3) + 0.2 * np.sin(rng.uniform(0.0, 0.2, 3) * t + rng.uniform(0.0, TAU, 3))
+        angle = np.pi + speed * (t - crossing * (n - 1))
+        root = angle * drift / np.linalg.norm(drift, axis=1, keepdims=True)
+        out = smooth_arrays(clip_with_root(root), FilterConfig(smoothing=smoothing))
+        weight = smoothing.alpha if smoothing.mode == "exponential" else _ref_exp_alpha(smoothing.min_cutoff, 1.0)
+        lag = (1.0 - weight) / weight * np.linalg.norm(np.abs(np.diff(root, axis=0)).max(axis=0))
+        assert geodesic(out.rotations[:, 0], root).max() <= lag + 1e-9
 
 
 class TestArrayGating:

@@ -3,7 +3,6 @@ import pytest
 
 from dahyf.fusion import (
     assemble_dahyf,
-    pe_length,
     pe_normalize,
     pool_feature_map,
     positional_encode,
@@ -41,7 +40,6 @@ class TestPositionalEncode:
     def test_full_hand_vector_length(self):
         mu = pe_normalize(np.zeros((21, 2)), 224, 800.0)
         assert positional_encode(mu, 4).size == 336
-        assert pe_length(21, 4) == 336
 
     def test_length_formula_all_l(self):
         for octaves in range(1, 7):

@@ -9,7 +9,10 @@ exactly; floats within 1e-12 (relative above magnitude 1), the tolerance
 the ROADMAP allows for reordered sums.
 
 Regenerate the files only when outputs are meant to change:
-`PYTHONPATH=src python tests/test_golden.py`.
+`PYTHONPATH=src python tests/test_golden.py`.  To check that the current
+code writes them byte for byte, without touching them:
+`PYTHONPATH=src python tests/test_golden.py --check`, which names every
+file that differs and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dahyf import pipeline
 from dahyf.arrayio import write_coord_array
 from dahyf.cli import main
 from dahyf.codec import CodecConfig, encode_labels, log_probs
 from dahyf.data import read_jsonl, synth_sequence, write_jsonl
 from dahyf.hand_model import load_model
-from dahyf.pipeline import PipelineConfig, run_pipeline
+from dahyf.pipeline import PipelineConfig, build_report, process, run_pipeline
 from dahyf.tempfilter import FilterConfig, SmoothingConfig
 from dahyf.toy import bundled_model_path
 
@@ -146,6 +150,21 @@ def test_eval_matches_golden(name, toy_model, tmp_path):
     assert not diffs, "\n".join(diffs[:10])
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_process_writes_the_lines_of_run_pipeline(name, toy_model, tmp_path):
+    """The array core alone, on the parsed clip, gives the lines that
+    `run_pipeline` writes, and without ground truth the same report."""
+    config, obs, _ = CASES[name](toy_model, tmp_path)
+    report = run_pipeline(config, obs, tmp_path / "out.jsonl")
+    result = process(toy_model, pipeline._read_clip(obs, config), config.filter)
+    docs = result.out.to_records()
+    for doc, joints3d in zip(docs, result.joints3d.tolist()):
+        doc["joints3d"] = joints3d
+    lines = (tmp_path / "out.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.dumps(doc) for doc in docs] == lines
+    assert build_report(result, config.filter.threshold) == report
+
+
 def test_cases_exercise_the_filter():
     """The golden cases cover replaced, held and unreliable frames."""
     reports = {name: json.loads((GOLDEN_DIR / name / "report.json").read_text(encoding="utf-8"))
@@ -156,19 +175,41 @@ def test_cases_exercise_the_filter():
     assert sorted(name for name in CASES if (GOLDEN_DIR / name / "eval.json").exists()) == list(EVAL_CASES)
 
 
-def _write_golden() -> None:
+def _write_golden(root: Path) -> None:
+    """Run every case and write its output files under `root/<case>/`."""
     model = load_model(bundled_model_path())
     for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             workdir = Path(tmp)
             _run_case(name, model, workdir)
-            dest = GOLDEN_DIR / name
+            dest = root / name
             dest.mkdir(parents=True, exist_ok=True)
             for file in ("out.jsonl", "report.json", "eval.json"):
                 if (workdir / file).exists():
                     (dest / file).write_bytes((workdir / file).read_bytes())
-        print(f"wrote {GOLDEN_DIR / name}", file=sys.stderr)
+
+
+def _check_golden() -> int:
+    """Regenerate the goldens in a temporary directory and compare them with
+    GOLDEN_DIR as bytes; print each file that differs, is missing or is new."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = Path(tmp)
+        _write_golden(fresh)
+        files = {p.relative_to(GOLDEN_DIR) for p in GOLDEN_DIR.rglob("*") if p.is_file()}
+        files |= {p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file()}
+        differ = [rel for rel in sorted(files)
+                  if not ((GOLDEN_DIR / rel).is_file() and (fresh / rel).is_file()
+                          and (GOLDEN_DIR / rel).read_bytes() == (fresh / rel).read_bytes())]
+    for rel in differ:
+        print(f"differs: {GOLDEN_DIR / rel}", file=sys.stderr)
+    print(f"{len(files) - len(differ)} of {len(files)} golden files match byte for byte", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    _write_golden()
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(_check_golden())
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
+    _write_golden(GOLDEN_DIR)
+    print(f"wrote {GOLDEN_DIR}", file=sys.stderr)

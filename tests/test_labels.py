@@ -35,9 +35,11 @@ DEFECTS = [
     (3, lambda doc: _set(doc, "frame_index", 0), r"frame 0: frame_index 0 is not greater than the previous "
                                                   r"frame's \(2\)"),
     (1, lambda doc: _set(doc, "frame_index", 1.5), r"frame 1\.5: frame_index: expected an integer, got 1\.5"),
+    (3, lambda doc: _set(doc, "frame_index", 2**63), f"frame {2**63}: frame_index: expected an integer within "
+                                                      f"int64, got {2**63}"),
 ]
 DEFECT_IDS = ["string_in_joints3d", "missing_joints3d", "nan_in_joints3d", "repeated_index",
-              "decreasing_index", "fractional_index"]
+              "decreasing_index", "fractional_index", "index_beyond_int64"]
 
 
 @pytest.fixture()

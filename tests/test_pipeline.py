@@ -10,7 +10,8 @@ from dahyf.cli import main
 from dahyf.codec import CodecConfig, encode_labels, log_probs
 from dahyf.data import read_jsonl, synth_sequence, write_jsonl
 from dahyf.hand_model import posed_joints, save_model
-from dahyf.pipeline import PipelineConfig, load_config, run_pipeline, save_config
+from dahyf.jsonrecord import write_json
+from dahyf.pipeline import PipelineConfig, load_config, run_pipeline
 from dahyf.tempfilter import FilterConfig, SmoothingConfig
 
 
@@ -33,7 +34,7 @@ class TestConfig:
             focal_policy="sqrt_fallback",
         )
         path = tmp_path / "cfg.json"
-        save_config(config, path)
+        write_json(config.to_dict(), path)
         assert load_config(path) == config
 
     def test_validation(self):
@@ -185,8 +186,13 @@ class TestRunPipeline:
          r"frame 2: joints2d must have shape \(21, 2\), got \(20, 2\)"),
         (lambda doc: {**doc, "weak": {"scale": 4.0, "ty": 0.0}}, r"frame 2: missing field 'weak\.tx'"),
         (lambda doc: list(doc), "frame 2: expected a JSON object, got list"),
+        (lambda doc: {**doc, "spec": {**doc["spec"], "focal": float("inf")}},
+         "frame 2: spec: focal must be finite when given"),
+        (lambda doc: {**doc, "spec": {**doc["spec"], "frame_w": 10**30}},
+         f"frame 2: spec.frame_w: expected an integer within int64, got {10**30}"),
     ], ids=["string_flag", "fractional_index", "fractional_donor", "string_confidence", "string_in_pose",
-            "boolean_in_pose", "short_joints2d", "missing_nested_key", "not_an_object"])
+            "boolean_in_pose", "short_joints2d", "missing_nested_key", "not_an_object", "infinite_focal",
+            "width_beyond_int64"])
     def test_bad_record_names_frame_and_field(self, toy_model, tmp_path, edit, message):
         docs = synth_sequence(toy_model, 4, seed=1).observed
         docs[2] = edit(docs[2])
@@ -229,7 +235,7 @@ class TestCliConfigAndBatch:
     def test_run_with_config_file(self, clean_sequence, tmp_path):
         gt, obs = clean_sequence
         cfg_path = tmp_path / "cfg.json"
-        save_config(PipelineConfig(filter=FilterConfig(threshold=0.25)), cfg_path)
+        write_json(PipelineConfig(filter=FilterConfig(threshold=0.25)).to_dict(), cfg_path)
         out = tmp_path / "out.jsonl"
         report = tmp_path / "rep.json"
         rc = main(["run", "--config", str(cfg_path), "--in", str(obs), "--gt", str(gt),

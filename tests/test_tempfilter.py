@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -67,9 +68,10 @@ class TestFrameSerialization:
 
 
 class TestRecordErrors:
-    """A bad record fails naming its frame and field.  The messages are
-    pinned as the record-by-record parse gave them before records were
-    parsed into columns."""
+    """A bad record fails naming its frame and field.  The messages up to
+    `confidence_range` are pinned as the record-by-record parse gave them
+    before records were parsed into columns; a non-finite spec value and an
+    integer beyond int64 used to pass or fail naming no field."""
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["weak"].__setitem__("scale", 0), "frame 1: weak: weak camera scale must be positive"),
@@ -84,8 +86,27 @@ class TestRecordErrors:
         (lambda d: d.pop("spec"), "frame 1: missing field 'spec'"),
         (lambda d: d["weak"].pop("tx"), "frame 1: missing field 'weak.tx'"),
         (lambda d: d.__setitem__("confidence", 1.5), "frame 1: confidence must lie in [-1, 1]"),
+        (lambda d: d["spec"].__setitem__("upper_left", [math.inf, 50.0]), "frame 1: spec: upper_left must be finite"),
+        (lambda d: d["spec"].__setitem__("upper_left", [100.0, math.nan]), "frame 1: spec: upper_left must be finite"),
+        (lambda d: d["spec"].__setitem__("patch_size", math.inf), "frame 1: spec: patch_size must be finite"),
+        (lambda d: d["spec"].__setitem__("focal", math.inf), "frame 1: spec: focal must be finite when given"),
+        (lambda d: d.__setitem__("frame_index", 2**63),
+         f"frame {2**63}: frame_index: expected an integer within int64, got {2**63}"),
+        (lambda d: d.__setitem__("replaced_from", -2**63 - 1),
+         f"frame 1: replaced_from: expected an integer within int64, got {-2**63 - 1}"),
+        (lambda d: d["spec"].__setitem__("frame_w", 10**30),
+         f"frame 1: spec.frame_w: expected an integer within int64, got {10**30}"),
+        (lambda d: d["spec"].__setitem__("frame_h", 2**64),
+         f"frame 1: spec.frame_h: expected an integer within int64, got {2**64}"),
+        (lambda d: d["spec"].__setitem__("net_size", 1e30),
+         f"frame 1: spec.net_size: expected an integer within int64, got {int(1e30)}"),
+        (lambda d: d["spec"].__setitem__("feat_size", -2**70),
+         f"frame 1: spec.feat_size: expected an integer within int64, got {-2**70}"),
     ], ids=["weak_scale_zero", "weak_tx_nan", "frame_w_zero", "handedness_up", "focal_negative", "weak_unknown_key",
-            "spec_unknown_key", "unreliable_string", "missing_spec", "missing_weak_tx", "confidence_range"])
+            "spec_unknown_key", "unreliable_string", "missing_spec", "missing_weak_tx", "confidence_range",
+            "upper_left_inf", "upper_left_nan", "patch_size_inf", "focal_inf", "frame_index_beyond_int64",
+            "replaced_from_beyond_int64", "frame_w_beyond_int64", "frame_h_beyond_int64", "net_size_beyond_int64",
+            "feat_size_beyond_int64"])
     def test_message(self, edit, message):
         docs = [make_frame(i, 0.9).to_dict() for i in range(3)]
         edit(docs[1])
@@ -100,6 +121,11 @@ class TestRecordErrors:
         docs[0]["spec"]["focal"] = float("nan")
         with pytest.raises(ValueError, match="frame 0: spec: focal must be positive when given"):
             FrameArrays.from_records(docs)
+
+    def test_int64_bounds_are_accepted(self):
+        docs = [make_frame(i, 0.9).to_dict() for i in range(2)]
+        docs[0]["frame_index"], docs[1]["frame_index"] = -2**63 + 1, 2**63 - 1
+        assert FrameArrays.from_records(docs).frame_index.tolist() == [-2**63 + 1, 2**63 - 1]
 
     def test_specs_round_trip_as_columns(self):
         frames = [replace(make_frame(i, 0.9), spec=PatchSpec(640, 480, (1.5 * i, 2.0), 200.0 + i, net_size=128,
