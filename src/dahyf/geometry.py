@@ -235,9 +235,7 @@ def feat_to_patch(p_f: np.ndarray, spec: PatchSpec) -> np.ndarray:
 
 def patch_to_frame(p_l: np.ndarray, spec: PatchSpec) -> np.ndarray:
     """Map patch pixels to centered frame coords: p * sc_o + P_ulc - O."""
-    sc_o = spec.patch_size / spec.net_size
-    origin = np.array([spec.frame_w / 2.0, spec.frame_h / 2.0])
-    return np.asarray(p_l, dtype=np.float64) * sc_o + np.asarray(spec.upper_left) - origin
+    return patch_to_frame_abs(p_l, spec) - np.array([spec.frame_w / 2.0, spec.frame_h / 2.0])
 
 
 def patch_to_frame_abs(p_l: np.ndarray, spec: PatchSpec) -> np.ndarray:
@@ -260,12 +258,14 @@ def frame_to_direction(p_g: np.ndarray, focal: float) -> np.ndarray:
     return np.asarray(p_g, dtype=np.float64) / focal
 
 
-def _replicate_planes(x_plane: np.ndarray, y_plane: np.ndarray, channels: int) -> np.ndarray:
+def _replicate_planes(x: np.ndarray, y: np.ndarray, channels: int) -> np.ndarray:
+    """(channels, len(y), len(x)) planes: x along every row of the even
+    channels, y down every column of the odd ones."""
     if channels <= 0 or channels % 2 != 0:
         raise ValueError("channel count must be a positive even number")
-    out = np.empty((channels,) + x_plane.shape)
-    out[0::2] = x_plane
-    out[1::2] = y_plane
+    out = np.empty((channels, len(y), len(x)))
+    out[0::2] = x
+    out[1::2] = y[:, None]
     return out
 
 
@@ -278,32 +278,21 @@ def local_direction_map(feat_size: int, channels: int = 2) -> DirectionMap:
     """
     if feat_size <= 0:
         raise ValueError("feat_size must be positive")
-    cols, rows = np.meshgrid(np.arange(feat_size, dtype=np.float64),
-                             np.arange(feat_size, dtype=np.float64))
-    return DirectionMap(_replicate_planes(cols, rows, channels))
+    idx = np.arange(feat_size, dtype=np.float64)
+    return DirectionMap(_replicate_planes(idx, idx, channels))
 
 
 def global_direction_map(spec: PatchSpec, channels: int = 2) -> DirectionMap:
-    """Viewing-ray direction planes for every feature pixel of a crop.
-
-    Composes the feature -> patch -> frame chain and divides by the focal
-    length.  For flipped patches the x lookup runs over mirrored patch
-    columns so the map stays aligned with the mirrored image content.
-    """
-    f = spec.focal_or_default
+    """Viewing-ray direction planes for every feature pixel of a crop: the
+    crop chain `feat_to_patch`, `mirror_joints_x` when flipped (the x lookup
+    runs over the mirrored columns the content came from), `patch_to_frame`
+    and `frame_to_direction`, run on the grid diagonal (column j, row j)."""
     idx = np.arange(spec.feat_size, dtype=np.float64)
-    px = feat_to_patch(idx, spec)  # same affine map on either axis
-    py = px
+    p_l = feat_to_patch(np.stack([idx, idx], axis=-1), spec)
     if spec.flipped:
-        px = (spec.net_size - 1) - px
-
-    sc_o = spec.patch_size / spec.net_size
-    gx = px * sc_o + spec.upper_left[0] - spec.frame_w / 2.0
-    gy = py * sc_o + spec.upper_left[1] - spec.frame_h / 2.0
-
-    x_plane = np.tile(gx / f, (spec.feat_size, 1))
-    y_plane = np.tile((gy / f)[:, None], (1, spec.feat_size))
-    return DirectionMap(_replicate_planes(x_plane, y_plane, channels))
+        p_l = mirror_joints_x(p_l, spec.net_size)
+    d = frame_to_direction(patch_to_frame(p_l, spec), spec.focal_or_default)
+    return DirectionMap(_replicate_planes(d[:, 0], d[:, 1], channels))
 
 
 def mirror_joints_x(joints: np.ndarray, net_size: int) -> np.ndarray:

@@ -26,11 +26,6 @@ N_KEYPOINTS = 21
 N_ROTATIONS = 16
 N_SHAPE_COEFFS = 10
 
-FINGER_NAMES = ("thumb", "index", "middle", "ring", "pinky")
-KEYPOINT_NAMES = ("wrist",) + tuple(
-    f"{finger}_{part}" for finger in FINGER_NAMES for part in ("mcp", "pip", "dip", "tip")
-)
-
 # Parent index per keypoint; -1 marks the wrist root.
 PARENT_TREE = (-1, 0, 1, 2, 3, 0, 5, 6, 7, 0, 9, 10, 11, 0, 13, 14, 15, 0, 17, 18, 19)
 

@@ -48,16 +48,7 @@ class JsonRecord:
         the record refuses."""
 
     def to_dict(self) -> dict:
-        head, fields, _ = _table(type(self))
-        doc = head.copy()
-        for name in fields:
-            value = getattr(self, name)
-            if isinstance(value, JsonRecord):
-                value = value.to_dict()
-            elif isinstance(value, tuple):
-                value = list(value)
-            doc[name] = value
-        return doc
+        return self.dicts([[_json_form(getattr(self, name)) for name in _table(type(self))[1]]])[0]
 
     @classmethod
     def from_dict(cls, doc: dict):
@@ -108,6 +99,13 @@ class JsonRecord:
         head, fields, _ = _table(cls)
         keys, first = (*head, *fields), tuple(head.values())
         return [dict(zip(keys, first + tuple(row))) for row in rows]
+
+
+def _json_form(value):
+    """A field value in JSON form: a record as its dict, a tuple as a list."""
+    if isinstance(value, JsonRecord):
+        return value.to_dict()
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _required(f: dataclasses.Field) -> bool:

@@ -84,6 +84,9 @@ class _Scalars(JsonRecord):
     def check(frame_index, weak, spec, confidence, unreliable, replaced_from) -> None:
         if confidence is not None and not -1.0 <= confidence <= 1.0:
             raise ValueError("confidence must lie in [-1, 1]")
+        if NOT_REPLACED in (frame_index, replaced_from):
+            name = "frame_index" if frame_index == NOT_REPLACED else "replaced_from"
+            raise ValueError(f"{name}: {NOT_REPLACED} is reserved to mark a frame that was not replaced")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ they must not be changed to follow the array code.
 import json
 import math
 import tempfile
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import clips
 from dahyf.arrayio import BinaryFormatError, read_coord_array, write_coord_array
 from dahyf.camera import WeakCamera
 from dahyf.codec import CodecConfig, decode_soft_argmax, encode_labels, log_probs
@@ -173,10 +174,11 @@ COLUMNS = ("frame_index", "rotations", "betas", "weak", "joints2d", "confidence"
 
 
 def assert_same_arrays(got: FrameArrays, want: FrameArrays):
-    """Every column equal bit for bit, and the same specs."""
+    """Every column, spec columns included, equal bit for bit."""
     for name in COLUMNS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert got.specs == want.specs
+    for got_column, want_column in zip(astuple(got.specs), astuple(want.specs)):
+        assert np.array(got_column).tobytes() == np.array(want_column).tobytes()
 
 
 class TestArraySmoothing:
@@ -320,6 +322,23 @@ class TestRecords:
         frames[0] = replace(frames[0], confidence=None, pose=HandPose(-0.0 * frames[0].pose.rotations))
         clip = arrays(frames)
         assert_same_arrays(FrameArrays.from_records(json.loads(json.dumps(clip.to_records()))), clip)
+
+
+class TestClipContracts:
+    """Whole-clip properties over `conftest.clips`, under the one
+    `clip_contracts` settings profile."""
+
+    @settings(settings.get_profile("clip_contracts"))
+    @given(clips())
+    def test_records_parse_back_bit_for_bit(self, clip):
+        assert_same_arrays(FrameArrays.from_records(json.loads(json.dumps(clip.to_records()))), clip)
+
+    @settings(settings.get_profile("clip_contracts"))
+    @given(clips(scored=True), st.builds(FilterConfig, threshold=st.floats(-1.0, 1.0, exclude_max=True),
+                                         max_hold_frames=st.integers(1, 4) | st.integers(1, 2**40)))
+    def test_gating_twice_is_gating_once(self, clip, cfg):
+        once = gate_arrays(clip, cfg)
+        assert_same_arrays(gate_arrays(once, cfg), once)
 
 
 def random_logits(rng, cfg: CodecConfig, k: int = 21) -> np.ndarray:

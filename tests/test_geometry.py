@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dahyf.geometry import (
     DirectionMap,
@@ -171,6 +173,49 @@ class TestGlobalMap:
         assert spec.focal_or_default == 800.0
         dmap = global_direction_map(spec, 2)
         np.testing.assert_allclose(dmap.values[0, 0, 0], -0.27276785714285715, atol=1e-12)
+
+
+def reference_global_map(spec: PatchSpec, channels: int) -> np.ndarray:
+    """The global map as one inline formula, as it was written before the
+    package built it from the crop maps; not to be changed to follow them."""
+    f = spec.focal_or_default
+    sc_p = spec.net_size / spec.feat_size
+    px = np.arange(spec.feat_size, dtype=np.float64) * sc_p + sc_p / 2.0
+    py = px
+    if spec.flipped:
+        px = (spec.net_size - 1) - px
+    sc_o = spec.patch_size / spec.net_size
+    gx = px * sc_o + spec.upper_left[0] - spec.frame_w / 2.0
+    gy = py * sc_o + spec.upper_left[1] - spec.frame_h / 2.0
+    out = np.empty((channels, spec.feat_size, spec.feat_size))
+    out[0::2] = np.tile(gx / f, (spec.feat_size, 1))
+    out[1::2] = np.tile((gy / f)[:, None], (1, spec.feat_size))
+    return out
+
+
+def reference_local_map(feat_size: int, channels: int) -> np.ndarray:
+    cols, rows = np.meshgrid(np.arange(feat_size, dtype=np.float64), np.arange(feat_size, dtype=np.float64))
+    out = np.empty((channels, feat_size, feat_size))
+    out[0::2], out[1::2] = cols, rows
+    return out
+
+
+crop_specs = st.builds(
+    PatchSpec,
+    frame_w=st.integers(1, 4000), frame_h=st.integers(1, 4000),
+    upper_left=st.tuples(st.floats(-500.0, 4000.0), st.floats(-500.0, 4000.0)),
+    patch_size=st.floats(0.5, 2000.0), net_size=st.integers(1, 301), feat_size=st.integers(1, 89),
+    focal=st.none() | st.floats(1.0, 5000.0), flipped=st.booleans(),
+)
+
+
+class TestMapsMatchTheirFormulas:
+    @settings(max_examples=100, deadline=None)
+    @given(crop_specs, st.sampled_from([2, 4, 6]))
+    def test_bytes_equal_the_reference_formulas(self, spec, channels):
+        assert global_direction_map(spec, channels).values.tobytes() == reference_global_map(spec, channels).tobytes()
+        assert local_direction_map(spec.feat_size, channels).values.tobytes() \
+            == reference_local_map(spec.feat_size, channels).tobytes()
 
 
 class TestFlip:

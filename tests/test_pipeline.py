@@ -190,15 +190,30 @@ class TestRunPipeline:
          "frame 2: spec: focal must be finite when given"),
         (lambda doc: {**doc, "spec": {**doc["spec"], "frame_w": 10**30}},
          f"frame 2: spec.frame_w: expected an integer within int64, got {10**30}"),
+        (lambda doc: {**doc, "replaced_from": -2**63},
+         f"frame 2: replaced_from: {-2**63} is reserved to mark a frame that was not replaced"),
     ], ids=["string_flag", "fractional_index", "fractional_donor", "string_confidence", "string_in_pose",
             "boolean_in_pose", "short_joints2d", "missing_nested_key", "not_an_object", "infinite_focal",
-            "width_beyond_int64"])
+            "width_beyond_int64", "reserved_donor"])
     def test_bad_record_names_frame_and_field(self, toy_model, tmp_path, edit, message):
         docs = synth_sequence(toy_model, 4, seed=1).observed
         docs[2] = edit(docs[2])
         write_jsonl(docs, tmp_path / "obs.jsonl")
         with pytest.raises(RuntimeError, match=message):
             run_pipeline(PipelineConfig(), tmp_path / "obs.jsonl", tmp_path / "out.jsonl")
+
+    def test_reserved_frame_index_is_refused(self, toy_model, tmp_path):
+        """-2^63 marks a frame that was not replaced, so a donor frame with
+        that index hid the frames gated from it: the report listed only one
+        of the clip's two replaced frames."""
+        seq = synth_sequence(toy_model, 6, noise_px=0.5, outlier_rate=0.34, seed=3)
+        assert seq.outlier_indices == [1, 4]
+        obs, out = tmp_path / "obs.jsonl", tmp_path / "out.jsonl"
+        write_jsonl(seq.observed, obs)
+        assert run_pipeline(PipelineConfig(), obs, out)["replaced_frames"] == [1, 4]
+        write_jsonl([{**doc, "frame_index": doc["frame_index"] - 2**63} for doc in seq.observed], obs)
+        with pytest.raises(RuntimeError, match=f"^frame {-2**63}: frame_index: {-2**63} is reserved"):
+            run_pipeline(PipelineConfig(), obs, out)
 
     def test_missing_model_path(self, clean_sequence, tmp_path):
         _, obs = clean_sequence
